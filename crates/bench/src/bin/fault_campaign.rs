@@ -32,9 +32,11 @@
 //! identical for any `--jobs` value — `--jobs 1` is the plain
 //! single-threaded path. A worker that panics is *quarantined*: the seed
 //! is reported as such and the sweep continues instead of aborting.
-//! `--checkpoint FILE` persists every finished seed (atomic tmp+rename),
-//! and `--resume` picks an interrupted sweep back up, re-running only the
-//! seeds the checkpoint is missing.
+//! `--checkpoint FILE` persists every finished seed as JSON (atomic
+//! tmp+rename), and `--resume` picks an interrupted sweep back up,
+//! re-running only the seeds the checkpoint is missing. Checkpoints in the
+//! older `fault-campaign-checkpoint v1` text format are not read: discard
+//! them and rerun the sweep.
 //!
 //! ```text
 //! cargo run --release --bin fault_campaign -- --seed 42 --trials 200
@@ -54,6 +56,8 @@ use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use regvault_cli::json;
+use regvault_cli::json::Value;
 use regvault_kernel::cred::{CredField, EUID_OFFSET};
 use regvault_kernel::fs::{handlers, FileOp};
 use regvault_kernel::layout::KERNEL_TEXT_BASE;
@@ -656,7 +660,7 @@ struct Checkpoint {
 }
 
 impl Checkpoint {
-    const MAGIC: &'static str = "fault-campaign-checkpoint v1";
+    const SCHEMA: &'static str = "fault-campaign-checkpoint/v2";
 
     fn new(path: PathBuf, params: String, done: BTreeMap<u64, SeedReport>) -> Self {
         Self {
@@ -669,24 +673,26 @@ impl Checkpoint {
     fn record(&self, seed: u64, report: &SeedReport) {
         let mut done = self.done.lock().unwrap();
         done.insert(seed, report.clone());
-        let mut out = String::new();
-        out.push_str(Self::MAGIC);
-        out.push('\n');
-        writeln!(out, "params {}", self.params).unwrap();
-        for (seed, r) in done.iter() {
-            writeln!(
-                out,
-                "seed {seed} silent={} quarantined={} len={}",
-                r.silent_under_full,
-                u8::from(r.quarantined),
-                r.text.len()
-            )
-            .unwrap();
-            out.push_str(&r.text);
-        }
+        let seeds: Vec<Value> = done
+            .iter()
+            .map(|(seed, r)| {
+                json!({
+                    "seed": *seed,
+                    "silent": r.silent_under_full,
+                    "quarantined": r.quarantined,
+                    "text": r.text.as_str(),
+                })
+            })
+            .collect();
         drop(done);
+        let doc = json!({
+            "schema": Self::SCHEMA,
+            "params": self.params.as_str(),
+            "seeds": seeds,
+        });
         let tmp = self.path.with_extension("tmp");
-        let write = std::fs::write(&tmp, &out).and_then(|()| std::fs::rename(&tmp, &self.path));
+        let write =
+            std::fs::write(&tmp, doc.render()).and_then(|()| std::fs::rename(&tmp, &self.path));
         if let Err(err) = write {
             eprintln!(
                 "warning: cannot write checkpoint {}: {err}",
@@ -695,75 +701,61 @@ impl Checkpoint {
         }
     }
 
-    /// Loads a checkpoint, verifying its parameter line matches this sweep.
+    /// Loads a checkpoint, verifying its parameters match this sweep.
     fn load(path: &PathBuf, params: &str) -> Result<BTreeMap<u64, SeedReport>, String> {
         let data = std::fs::read_to_string(path)
             .map_err(|err| format!("cannot read checkpoint {}: {err}", path.display()))?;
-        let mut rest = data.as_str();
-        let take_line = |rest: &mut &str| -> Option<String> {
-            if rest.is_empty() {
-                return None;
-            }
-            match rest.find('\n') {
-                Some(i) => {
-                    let line = rest[..i].to_string();
-                    *rest = &rest[i + 1..];
-                    Some(line)
-                }
-                None => {
-                    let line = (*rest).to_string();
-                    *rest = "";
-                    Some(line)
-                }
-            }
-        };
-        if take_line(&mut rest).as_deref() != Some(Self::MAGIC) {
-            return Err(format!("{}: not a campaign checkpoint", path.display()));
-        }
-        let found_params = take_line(&mut rest).unwrap_or_default();
-        let expected = format!("params {params}");
-        if found_params != expected {
+        if data.starts_with("fault-campaign-checkpoint v1") {
             return Err(format!(
-                "{}: checkpoint was written by a different sweep\n  \
-                 checkpoint: {found_params}\n  this run:   {expected}",
+                "{}: v1 text checkpoint is no longer supported; delete it and rerun",
                 path.display()
             ));
         }
-        let mut done = BTreeMap::new();
-        while let Some(header) = take_line(&mut rest) {
-            if header.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = header.split_whitespace().collect();
-            let field = |field: &str, prefix: &str| -> Option<u64> {
-                field.strip_prefix(prefix)?.parse().ok()
-            };
-            let parsed = match fields.as_slice() {
-                ["seed", seed, silent, quarantined, len] => seed.parse::<u64>().ok().zip(
-                    field(silent, "silent=")
-                        .zip(field(quarantined, "quarantined=").zip(field(len, "len="))),
-                ),
-                _ => None,
-            };
-            let Some((seed, (silent, (quarantined, len)))) = parsed else {
-                return Err(format!("{}: malformed seed record", path.display()));
-            };
-            let len = len as usize;
-            if rest.len() < len {
-                return Err(format!("{}: truncated seed record", path.display()));
-            }
-            let text = rest[..len].to_string();
-            rest = &rest[len..];
-            done.insert(
-                seed,
-                SeedReport {
-                    text,
-                    silent_under_full: silent,
-                    quarantined: quarantined != 0,
-                },
-            );
+        let doc = Value::parse(&data).map_err(|err| format!("{}: {err}", path.display()))?;
+        if doc.get("schema") != Some(&Value::from(Self::SCHEMA)) {
+            return Err(format!("{}: not a campaign checkpoint", path.display()));
         }
-        Ok(done)
+        let found = match doc.get("params") {
+            Some(Value::Str(found)) => found.as_str(),
+            _ => "",
+        };
+        if found != params {
+            return Err(format!(
+                "{}: checkpoint was written by a different sweep\n  \
+                 checkpoint: params {found}\n  this run:   params {params}",
+                path.display()
+            ));
+        }
+        let Some(Value::Arr(seeds)) = doc.get("seeds") else {
+            return Err(format!("{}: checkpoint has no seed list", path.display()));
+        };
+        let entry = |s: &Value| {
+            let fields = (
+                s.get("seed"),
+                s.get("silent"),
+                s.get("quarantined"),
+                s.get("text"),
+            );
+            let (
+                Some(&Value::Int(seed)),
+                Some(&Value::Int(silent)),
+                Some(&Value::Bool(q)),
+                Some(Value::Str(text)),
+            ) = fields
+            else {
+                return None;
+            };
+            let report = SeedReport {
+                text: text.clone(),
+                silent_under_full: silent,
+                quarantined: q,
+            };
+            Some((seed, report))
+        };
+        seeds
+            .iter()
+            .map(|s| entry(s).ok_or_else(|| format!("{}: malformed seed record", path.display())))
+            .collect()
     }
 }
 
@@ -938,8 +930,9 @@ fn usage() -> ! {
                             non-Masked trial outcome\n\
          --noise N          pad each trial with N harmless scratch-page\n\
                             faults (gives --shrink something to remove)\n\
-         --checkpoint FILE  persist finished seeds (atomic rewrite); with\n\
-                            --resume, skip seeds already in FILE\n\
+         --checkpoint FILE  persist finished seeds as JSON (atomic rewrite);\n\
+                            with --resume, skip seeds already in FILE\n\
+                            (v1 text checkpoints cannot be resumed)\n\
          --replay BUNDLE    re-run a recorded trial, verify verdict and\n\
                             final architectural digest bit-for-bit\n\
          --shrink BUNDLE    ddmin-minimize BUNDLE's event log, write\n\

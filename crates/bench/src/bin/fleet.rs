@@ -15,7 +15,8 @@
 //! * a fork is not at least 10x cheaper than a cold boot (wall clock);
 //! * under chaos, micro-restore does not beat cold boot on both recovery
 //!   latency (p99) and served fraction;
-//! * any warm image fails its restore-integrity check.
+//! * any warm image fails its restore-integrity check, or a kill goes
+//!   unrecovered.
 //!
 //! ```text
 //! cargo run --release --bin fleet            # full run, rewrites the JSON
@@ -24,68 +25,10 @@
 
 use std::process::ExitCode;
 
-use regvault_bench::json::Value;
-use regvault_bench::repo_root;
-use regvault_server::fleet::{run_fleet, FleetConfig, FleetReport};
-
-fn report_to_json(label: &str, r: &FleetReport) -> (String, Value) {
-    let s = &r.scenario;
-    let h = &r.host;
-    let q = |x: f64| s.latency.quantile(x).unwrap_or(0);
-    let rq = |x: f64| s.recovery_latency.quantile(x).unwrap_or(0);
-    (
-        label.to_owned(),
-        Value::Obj(vec![
-            ("instances".into(), Value::Int(s.instances)),
-            ("offered".into(), Value::Int(s.offered)),
-            ("served".into(), Value::Int(s.served)),
-            ("failed".into(), Value::Int(s.failed)),
-            ("shed".into(), Value::Int(s.shed)),
-            ("accounting_holds".into(), Value::Bool(s.accounting_holds())),
-            ("kills".into(), Value::Int(s.kills)),
-            ("micro_restores".into(), Value::Int(s.micro_restores)),
-            ("cold_boots".into(), Value::Int(s.cold_boots)),
-            (
-                "restore_mismatches".into(),
-                Value::Int(s.restore_mismatches),
-            ),
-            ("steps".into(), Value::Int(s.steps)),
-            ("latency_p50_cycles".into(), Value::Int(q(0.5))),
-            ("latency_p99_cycles".into(), Value::Int(q(0.99))),
-            ("recovery_p50_cycles".into(), Value::Int(rq(0.5))),
-            ("recovery_p99_cycles".into(), Value::Int(rq(0.99))),
-            ("warm_pages".into(), Value::Int(s.warm_pages)),
-            ("dirty_pages_mean".into(), Value::Num(s.dirty_pages_mean())),
-            ("dirty_pages_max".into(), Value::Int(s.dirty_pages_max)),
-            ("boot_nanos".into(), Value::Int(h.boot_nanos)),
-            ("fork_nanos_mean".into(), Value::Num(h.fork_nanos_mean())),
-            ("fork_speedup".into(), Value::Num(h.fork_speedup())),
-            ("steps_per_sec".into(), Value::Num(r.steps_per_sec())),
-            ("workers".into(), Value::Int(h.workers as u64)),
-        ]),
-    )
-}
-
-fn print_row(label: &str, r: &FleetReport) {
-    let s = &r.scenario;
-    println!(
-        "{label:<16} {:>6} served / {:>4} failed / {:>4} shed of {:>6} offered  \
-         kills={:<3} micro={:<3} cold={:<3} p99={:<7} rec_p99={:<8} \
-         fork {:>7.0} ns ({:>6.1}x vs boot)  {:>6.2} Msteps/s",
-        s.served,
-        s.failed,
-        s.shed,
-        s.offered,
-        s.kills,
-        s.micro_restores,
-        s.cold_boots,
-        s.latency.quantile(0.99).unwrap_or(0),
-        s.recovery_latency.quantile(0.99).unwrap_or(0),
-        r.host.fork_nanos_mean(),
-        r.host.fork_speedup(),
-        r.steps_per_sec() / 1e6,
-    );
-}
+use regvault_bench::write_figure_json;
+use regvault_cli::fleet::{gate, render_human, to_json};
+use regvault_cli::json;
+use regvault_server::fleet::{run_fleet, FleetConfig};
 
 fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -98,33 +41,23 @@ fn main() -> ExitCode {
          chaos interval {chaos}, seed {seed:#x}\n"
     );
 
-    let calm = run_fleet(&FleetConfig {
-        instances,
-        requests_per_instance: requests,
-        seed,
-        ..FleetConfig::default()
+    let [calm, micro, cold] = [
+        ("calm", 0, true),
+        ("chaos-micro", chaos, true),
+        ("chaos-cold", chaos, false),
+    ]
+    .map(|(label, chaos_kill_interval, micro_restore)| {
+        let report = run_fleet(&FleetConfig {
+            instances,
+            requests_per_instance: requests,
+            seed,
+            chaos_kill_interval,
+            micro_restore,
+            ..FleetConfig::default()
+        });
+        print!("[{label}] {}", render_human(&report));
+        report
     });
-    print_row("calm", &calm);
-
-    let micro = run_fleet(&FleetConfig {
-        instances,
-        requests_per_instance: requests,
-        seed,
-        chaos_kill_interval: chaos,
-        micro_restore: true,
-        ..FleetConfig::default()
-    });
-    print_row("chaos-micro", &micro);
-
-    let cold = run_fleet(&FleetConfig {
-        instances,
-        requests_per_instance: requests,
-        seed,
-        chaos_kill_interval: chaos,
-        micro_restore: false,
-        ..FleetConfig::default()
-    });
-    print_row("chaos-cold", &cold);
 
     let mut ok = true;
     for (label, r) in [
@@ -132,15 +65,8 @@ fn main() -> ExitCode {
         ("chaos-micro", &micro),
         ("chaos-cold", &cold),
     ] {
-        if !r.scenario.accounting_holds() {
-            eprintln!(
-                "FAIL: {label}: accounting identity violated: {:?}",
-                r.scenario
-            );
-            ok = false;
-        }
-        if r.scenario.restore_mismatches > 0 {
-            eprintln!("FAIL: {label}: warm image failed an integrity check");
+        if let Err(err) = gate(&r.scenario) {
+            eprintln!("FAIL: {label}: {err}");
             ok = false;
         }
     }
@@ -193,19 +119,18 @@ fn main() -> ExitCode {
     if quick {
         println!("\n--quick: skipping BENCH_fleet.json rewrite");
     } else {
-        let doc = Value::Obj(vec![
-            ("bench".into(), Value::Str("fleet".into())),
-            ("instances".into(), Value::Int(instances as u64)),
-            ("requests_per_instance".into(), Value::Int(requests)),
-            ("seed".into(), Value::Int(seed)),
-            ("chaos_kill_interval".into(), Value::Int(chaos)),
-            report_to_json("calm", &calm),
-            report_to_json("chaos_micro_restore", &micro),
-            report_to_json("chaos_cold_boot", &cold),
-        ]);
-        let path = repo_root().join("BENCH_fleet.json");
-        std::fs::write(&path, doc.render()).expect("write BENCH_fleet.json");
-        println!("\nwrote {}", path.display());
+        let doc = json!({
+            "bench": "fleet",
+            "instances": instances,
+            "requests_per_instance": requests,
+            "seed": seed,
+            "chaos_kill_interval": chaos,
+            "calm": to_json(&calm),
+            "chaos_micro_restore": to_json(&micro),
+            "chaos_cold_boot": to_json(&cold),
+        });
+        println!();
+        write_figure_json("fleet", &doc);
     }
 
     if ok {

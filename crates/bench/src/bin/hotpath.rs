@@ -20,8 +20,9 @@
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, Criterion};
-use regvault_bench::json::{self, Value};
 use regvault_bench::repo_root;
+use regvault_cli::json;
+use regvault_cli::json::Value;
 use regvault_isa::{ByteRange, KeyReg};
 use regvault_kernel::{Kernel, KernelConfig, ProtectionConfig};
 use regvault_qarma::{reference::Reference, Key, Qarma64};
@@ -380,143 +381,60 @@ fn main() {
         full_ctl / 1e6
     );
 
-    let doc = Value::Obj(vec![
-        ("schema".into(), Value::Str("regvault-hotpath/v1".into())),
-        (
-            "description".into(),
-            Value::Str(
-                "Hot-path perf trajectory: QARMA datapath, CLB, fetch/execute loop. \
-                 Baselines are the pre-optimization seed tree."
-                    .into(),
-            ),
-        ),
-        (
-            "baseline".into(),
-            Value::Obj(
-                BASELINE
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), Value::Num(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "current".into(),
-            Value::Obj(vec![
-                ("qarma_reference_encrypt_ns".into(), Value::Num(ns(ref_enc))),
-                ("qarma_optimized_encrypt_ns".into(), Value::Num(ns(opt_enc))),
-                ("qarma_optimized_decrypt_ns".into(), Value::Num(ns(opt_dec))),
-                (
-                    "qarma_reference_blocks_per_sec".into(),
-                    Value::Num(1e9 / ns(ref_enc)),
-                ),
-                (
-                    "qarma_optimized_blocks_per_sec".into(),
-                    Value::Num(1e9 / ns(opt_enc)),
-                ),
-                ("qarma_key_schedule_ns".into(), Value::Num(ns(schedule))),
-                ("clb_hit_lookup_ns".into(), Value::Num(ns(clb_hit))),
-                ("clb_miss_insert_ns".into(), Value::Num(ns(clb_miss))),
-                ("engine_encrypt_miss_ns".into(), Value::Num(ns(engine_miss))),
-                (
-                    "unixbench_syscall_off_steps_per_sec".into(),
-                    Value::Num(ub_off),
-                ),
-                (
-                    "unixbench_syscall_full_steps_per_sec".into(),
-                    Value::Num(ub_full),
-                ),
-                (
-                    "unixbench_dhry2_off_steps_per_sec".into(),
-                    Value::Num(ub_dhry),
-                ),
-                (
-                    "unixbench_dhry2_full_steps_per_sec".into(),
-                    Value::Num(ub_dhry_full),
-                ),
-                ("lmbench_null_off_steps_per_sec".into(), Value::Num(lm_off)),
-                (
-                    "lmbench_null_full_steps_per_sec".into(),
-                    Value::Num(lm_full),
-                ),
-            ]),
-        ),
-        (
-            "mitigation".into(),
-            Value::Obj(vec![
-                ("full_control_steps_per_sec".into(), Value::Num(full_ctl)),
-                (
-                    "unixbench_syscall_full_rekey_steps_per_sec".into(),
-                    Value::Num(full_rekey),
-                ),
-                (
-                    "epoch_rekey_overhead_pct".into(),
-                    Value::Num(rekey_overhead_pct),
-                ),
-            ]),
-        ),
-        (
-            "superblock".into(),
-            Value::Obj(vec![
-                ("superblock_hits".into(), Value::Num(sb.hits as f64)),
-                ("superblock_insns".into(), Value::Num(sb.insns as f64)),
-                (
-                    "superblock_side_exits".into(),
-                    Value::Num(sb.side_exits as f64),
-                ),
-                ("superblock_built".into(), Value::Num(sb.built as f64)),
-                (
-                    "superblock_invalidations".into(),
-                    Value::Num(sb.invalidations as f64),
-                ),
-                ("superblock_coverage".into(), Value::Num(sb_coverage)),
-            ]),
-        ),
-        (
-            "tracing".into(),
-            Value::Obj(vec![
-                ("tracing_off_steps_per_sec".into(), Value::Num(trace_off)),
-                ("tracing_null_steps_per_sec".into(), Value::Num(trace_null)),
-                ("tracing_ring_steps_per_sec".into(), Value::Num(trace_ring)),
-                (
-                    "tracing_off_overhead_pct".into(),
-                    Value::Num(tracing_off_overhead_pct),
-                ),
-                (
-                    "tracing_null_overhead_pct".into(),
-                    Value::Num(tracing_null_overhead_pct),
-                ),
-                (
-                    "tracing_ring_overhead_pct".into(),
-                    Value::Num(tracing_ring_overhead_pct),
-                ),
-            ]),
-        ),
-        (
-            "speedup".into(),
-            Value::Obj(vec![
-                (
-                    "qarma_encrypt_vs_reference".into(),
-                    Value::Num(qarma_speedup_vs_reference),
-                ),
-                (
-                    "qarma_encrypt_vs_seed".into(),
-                    Value::Num(qarma_speedup_vs_seed),
-                ),
-                (
-                    "unixbench_syscall_off_vs_seed".into(),
-                    Value::Num(e2e_off_speedup),
-                ),
-                (
-                    "unixbench_syscall_full_vs_seed".into(),
-                    Value::Num(e2e_full_speedup),
-                ),
-                (
-                    "unixbench_dhry2_off_vs_pre_superblock".into(),
-                    Value::Num(dhry_speedup),
-                ),
-            ]),
-        ),
-    ]);
+    let baseline_rows = BASELINE
+        .iter()
+        .map(|(k, v)| (k.to_string(), Value::Num(*v)));
+    let doc = json!({
+        "schema": "regvault-hotpath/v1",
+        "description": "Hot-path perf trajectory: QARMA datapath, CLB, fetch/execute loop. \
+                        Baselines are the pre-optimization seed tree.",
+        "baseline": Value::Obj(baseline_rows.collect()),
+        "current": json!({
+            "qarma_reference_encrypt_ns": ns(ref_enc),
+            "qarma_optimized_encrypt_ns": ns(opt_enc),
+            "qarma_optimized_decrypt_ns": ns(opt_dec),
+            "qarma_reference_blocks_per_sec": 1e9 / ns(ref_enc),
+            "qarma_optimized_blocks_per_sec": 1e9 / ns(opt_enc),
+            "qarma_key_schedule_ns": ns(schedule),
+            "clb_hit_lookup_ns": ns(clb_hit),
+            "clb_miss_insert_ns": ns(clb_miss),
+            "engine_encrypt_miss_ns": ns(engine_miss),
+            "unixbench_syscall_off_steps_per_sec": ub_off,
+            "unixbench_syscall_full_steps_per_sec": ub_full,
+            "unixbench_dhry2_off_steps_per_sec": ub_dhry,
+            "unixbench_dhry2_full_steps_per_sec": ub_dhry_full,
+            "lmbench_null_off_steps_per_sec": lm_off,
+            "lmbench_null_full_steps_per_sec": lm_full,
+        }),
+        "mitigation": json!({
+            "full_control_steps_per_sec": full_ctl,
+            "unixbench_syscall_full_rekey_steps_per_sec": full_rekey,
+            "epoch_rekey_overhead_pct": rekey_overhead_pct,
+        }),
+        "superblock": json!({
+            "superblock_hits": sb.hits as f64,
+            "superblock_insns": sb.insns as f64,
+            "superblock_side_exits": sb.side_exits as f64,
+            "superblock_built": sb.built as f64,
+            "superblock_invalidations": sb.invalidations as f64,
+            "superblock_coverage": sb_coverage,
+        }),
+        "tracing": json!({
+            "tracing_off_steps_per_sec": trace_off,
+            "tracing_null_steps_per_sec": trace_null,
+            "tracing_ring_steps_per_sec": trace_ring,
+            "tracing_off_overhead_pct": tracing_off_overhead_pct,
+            "tracing_null_overhead_pct": tracing_null_overhead_pct,
+            "tracing_ring_overhead_pct": tracing_ring_overhead_pct,
+        }),
+        "speedup": json!({
+            "qarma_encrypt_vs_reference": qarma_speedup_vs_reference,
+            "qarma_encrypt_vs_seed": qarma_speedup_vs_seed,
+            "unixbench_syscall_off_vs_seed": e2e_off_speedup,
+            "unixbench_syscall_full_vs_seed": e2e_full_speedup,
+            "unixbench_dhry2_off_vs_pre_superblock": dhry_speedup,
+        }),
+    });
 
     if args.quick {
         println!("\n--quick: skipping BENCH_hotpath.json rewrite");
@@ -527,35 +445,42 @@ fn main() {
     }
 }
 
+/// Exits non-zero unless a fresh steps/s measurement holds half the
+/// checked-in value (the 2x machine-noise tolerance).
+fn half_floor_guard(label: &str, fresh: f64, reference: f64) {
+    println!(
+        "{label} guard: fresh {:.1}M steps/s vs checked-in {:.1}M (floor {:.1}M)",
+        fresh / 1e6,
+        reference / 1e6,
+        reference / 2e6
+    );
+    if fresh < reference / 2.0 {
+        eprintln!("PERF REGRESSION: fresh {label} steps/sec fell below half the checked-in value");
+        std::process::exit(1);
+    }
+    println!("{label} guard: OK");
+}
+
 /// `--check`: fresh quick end-to-end measurement vs the checked-in JSON,
 /// 2x tolerance.
 fn run_check() {
     let path = repo_root().join("BENCH_hotpath.json");
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|err| panic!("read {}: {err}", path.display()));
-    let reference = json::find_number(&text, "unixbench_syscall_off_steps_per_sec")
-        .expect("unixbench_syscall_off_steps_per_sec in BENCH_hotpath.json");
+    let doc = Value::parse(&text).unwrap_or_else(|err| panic!("{}: {err}", path.display()));
+    let number = |path: &str| doc.get(path).and_then(Value::as_f64);
+    let required =
+        |path: &str| number(path).unwrap_or_else(|| panic!("no {path} in BENCH_hotpath.json"));
+    let reference = required("current.unixbench_syscall_off_steps_per_sec");
 
     let fresh = steps_per_sec(&UnixBench::Syscall, ProtectionConfig::off(), 3);
-    let floor = reference / 2.0;
-    println!(
-        "perf guard: fresh {:.1}M steps/s vs checked-in {:.1}M (floor {:.1}M)",
-        fresh / 1e6,
-        reference / 1e6,
-        floor / 1e6
-    );
-    if fresh < floor {
-        eprintln!("PERF REGRESSION: end-to-end steps/sec fell below half the checked-in value");
-        std::process::exit(1);
-    }
-    println!("perf guard: OK");
+    half_floor_guard("perf", fresh, reference);
 
     // Superblock-tier floor: the committed dhry2 number must hold the 2x
     // speedup over the pre-tier interpreter (the tier's acceptance
     // criterion), and a fresh run must stay within the usual 2x
     // machine-noise tolerance of the committed value.
-    let dhry_ref = json::find_number(&text, "unixbench_dhry2_off_steps_per_sec")
-        .expect("unixbench_dhry2_off_steps_per_sec in BENCH_hotpath.json");
+    let dhry_ref = required("current.unixbench_dhry2_off_steps_per_sec");
     let dhry_floor = 2.0 * baseline("pre_superblock_dhry2_off_steps_per_sec");
     println!(
         "dhry2 guard: checked-in {:.1}M steps/s vs tier floor {:.1}M",
@@ -570,39 +495,15 @@ fn run_check() {
         std::process::exit(1);
     }
     let fresh_dhry = steps_per_sec(&UnixBench::Dhry2, ProtectionConfig::off(), 3);
-    println!(
-        "dhry2 guard: fresh {:.1}M steps/s vs checked-in {:.1}M (floor {:.1}M)",
-        fresh_dhry / 1e6,
-        dhry_ref / 1e6,
-        dhry_ref / 2e6
-    );
-    if fresh_dhry < dhry_ref / 2.0 {
-        eprintln!("PERF REGRESSION: fresh dhry2 steps/sec fell below half the checked-in value");
-        std::process::exit(1);
-    }
-    println!("dhry2 guard: OK");
+    half_floor_guard("dhry2", fresh_dhry, dhry_ref);
 
     // Mitigation floor: with the epoch-rekey mitigation enabled, the
     // syscall path must hold the usual 2x machine-noise tolerance of the
     // committed mitigated number — i.e. the side-channel fix cannot quietly
     // lose the hot-path work.
-    if let Some(rekey_ref) = json::find_number(&text, "unixbench_syscall_full_rekey_steps_per_sec")
-    {
+    if let Some(rekey_ref) = number("mitigation.unixbench_syscall_full_rekey_steps_per_sec") {
         let fresh_rekey = steps_per_sec_rekey(&UnixBench::Syscall, 3);
-        println!(
-            "rekey guard: fresh {:.1}M steps/s vs checked-in {:.1}M (floor {:.1}M)",
-            fresh_rekey / 1e6,
-            rekey_ref / 1e6,
-            rekey_ref / 2e6
-        );
-        if fresh_rekey < rekey_ref / 2.0 {
-            eprintln!(
-                "PERF REGRESSION: mitigated syscall steps/sec fell below half the \
-                 checked-in value"
-            );
-            std::process::exit(1);
-        }
-        println!("rekey guard: OK");
+        half_floor_guard("rekey", fresh_rekey, rekey_ref);
     } else {
         println!(
             "rekey guard: no mitigation rows in BENCH_hotpath.json (regenerate with `hotpath`)"
@@ -613,7 +514,7 @@ fn run_check() {
     // overhead row (stable, regenerated by every full bench run) must be
     // under 2%, and a fresh in-process A/B of the identical untraced
     // datapath must agree within the same band.
-    if let Some(recorded) = json::find_number(&text, "tracing_off_overhead_pct") {
+    if let Some(recorded) = number("tracing.tracing_off_overhead_pct") {
         println!("tracing guard: recorded off-overhead {recorded:+.2}%");
         if recorded >= 2.0 {
             eprintln!("TRACING REGRESSION: recorded tracing-off overhead >= 2%");

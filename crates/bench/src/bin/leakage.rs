@@ -21,36 +21,12 @@
 
 use std::process::ExitCode;
 
-use regvault_attacks::leakage::ScenarioLeakage;
-use regvault_attacks::oracle::CollisionReport;
-use regvault_bench::json::Value;
 use regvault_bench::write_figure_json;
-use regvault_cli::leakage::{run_campaign, DEFAULT_SEED};
-
-fn report_json(report: &CollisionReport) -> Value {
-    Value::Obj(vec![
-        ("observations".into(), Value::Int(report.observations)),
-        ("distinct_pairs".into(), Value::Int(report.distinct_pairs)),
-        ("collisions".into(), Value::Int(report.collisions)),
-        ("colliding_pairs".into(), Value::Int(report.colliding_pairs)),
-        ("rate".into(), Value::Num(report.collision_rate())),
-    ])
-}
-
-fn row_json(row: &ScenarioLeakage) -> Value {
-    Value::Obj(vec![
-        ("name".into(), Value::Str(row.name.clone())),
-        ("off".into(), report_json(&row.off)),
-        ("on".into(), report_json(&row.on)),
-        ("epoch_rekeys".into(), Value::Int(row.epoch_rekeys)),
-        ("reduction".into(), Value::Num(row.reduction())),
-    ])
-}
+use regvault_cli::leakage::{gate, render_human, run_campaign, to_json, DEFAULT_SEED};
 
 fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
     let seed = DEFAULT_SEED;
-    println!("ciphertext-leakage campaign: epoch-rekey mitigation off vs on, seed {seed:#x}\n");
     let report = match run_campaign(seed, quick) {
         Ok(report) => report,
         Err(err) => {
@@ -59,45 +35,10 @@ fn main() -> ExitCode {
         }
     };
 
-    println!(
-        "{:<14} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "scenario", "obs (off)", "coll (off)", "coll (on)", "rekeys", "reduction"
-    );
-    for row in &report.scenarios {
-        println!(
-            "{:<14} {:>12} {:>12} {:>12} {:>12} {:>9.1}x",
-            row.name,
-            row.off.observations,
-            row.off.collisions,
-            row.on.collisions,
-            row.epoch_rekeys,
-            row.reduction()
-        );
-    }
-    println!(
-        "\ntotal: {} collisions unmitigated, {} mitigated ({:.1}x reduction)",
-        report.total_off_collisions(),
-        report.total_on_collisions(),
-        report.overall_reduction()
-    );
+    print!("{}", render_human(&report, seed));
 
-    let mut ok = true;
-    if report.total_off_collisions() == 0 {
-        eprintln!("FAIL: unmitigated corpus shows no collisions — oracle is blind");
-        ok = false;
-    }
-    if report.overall_reduction() < 10.0 {
-        eprintln!(
-            "FAIL: mitigation reduction {:.1}x is below the 10x floor",
-            report.overall_reduction()
-        );
-        ok = false;
-    }
-    if report.scenarios.iter().all(|r| r.epoch_rekeys == 0) {
-        eprintln!("FAIL: no mitigated run performed a rekey — the knob is dead");
-        ok = false;
-    }
-    if !ok {
+    if let Err(err) = gate(&report) {
+        eprintln!("FAIL: {err}");
         return ExitCode::FAILURE;
     }
 
@@ -106,25 +47,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let value = Value::Obj(vec![
-        ("seed".into(), Value::Int(seed)),
-        (
-            "scenarios".into(),
-            Value::Arr(report.scenarios.iter().map(row_json).collect()),
-        ),
-        (
-            "total_off_collisions".into(),
-            Value::Int(report.total_off_collisions()),
-        ),
-        (
-            "total_on_collisions".into(),
-            Value::Int(report.total_on_collisions()),
-        ),
-        (
-            "overall_reduction".into(),
-            Value::Num(report.overall_reduction()),
-        ),
-    ]);
-    write_figure_json("leakage", &value);
+    write_figure_json("leakage", &to_json(&report, seed));
     ExitCode::SUCCESS
 }

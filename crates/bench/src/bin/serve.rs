@@ -17,82 +17,10 @@
 
 use std::process::ExitCode;
 
-use regvault_bench::json::Value;
-use regvault_bench::repo_root;
-use regvault_server::{ServeConfig, ServeReport, Supervisor};
-
-fn run(cfg: ServeConfig) -> ServeReport {
-    Supervisor::new(cfg).expect("kernel boot").run()
-}
-
-fn report_to_json(label: &str, r: &ServeReport) -> (String, Value) {
-    let q = |x: f64| r.latency.quantile(x).unwrap_or(0);
-    (
-        label.to_owned(),
-        Value::Obj(vec![
-            ("offered".into(), Value::Int(r.offered)),
-            ("served".into(), Value::Int(r.served)),
-            ("failed".into(), Value::Int(r.failed)),
-            ("shed".into(), Value::Int(r.shed)),
-            ("shed_deadline".into(), Value::Int(r.shed_deadline)),
-            ("accounting_holds".into(), Value::Bool(r.accounting_holds())),
-            ("rps_per_mcycle".into(), Value::Num(r.rps_per_mcycle())),
-            ("latency_p50_cycles".into(), Value::Int(q(0.5))),
-            ("latency_p90_cycles".into(), Value::Int(q(0.9))),
-            ("latency_p99_cycles".into(), Value::Int(q(0.99))),
-            ("latency_mean_cycles".into(), Value::Num(r.latency.mean())),
-            ("faults_injected".into(), Value::Int(r.faults_injected)),
-            ("recoveries".into(), Value::Int(r.recoveries)),
-            ("respawns".into(), Value::Int(r.respawns)),
-            ("respawns_denied".into(), Value::Int(r.respawns_denied)),
-            ("frontend_respawns".into(), Value::Int(r.frontend_respawns)),
-            ("cold_restarts".into(), Value::Int(r.cold_restarts)),
-            ("micro_reboots".into(), Value::Int(r.micro_reboots)),
-            (
-                "micro_reboot_mismatches".into(),
-                Value::Int(r.micro_reboot_mismatches),
-            ),
-            ("breaker_opens".into(), Value::Int(r.breaker_opens)),
-            (
-                "terminal_tenants".into(),
-                Value::Int(r.terminal_tenants as u64),
-            ),
-            ("cycles".into(), Value::Int(r.cycles)),
-            ("aborted".into(), Value::Bool(r.aborted)),
-        ]),
-    )
-}
-
-fn print_row(label: &str, r: &ServeReport) {
-    let q = |x: f64| r.latency.quantile(x).unwrap_or(0);
-    println!(
-        "{label:<18} {:>7} served / {:>5} failed / {:>5} shed of {:>7} offered  \
-         {:>7.2} rps/Mcyc  p50={:<6} p99={:<7} recoveries={} respawns={} micro={} cold={}",
-        r.served,
-        r.failed,
-        r.shed,
-        r.offered,
-        r.rps_per_mcycle(),
-        q(0.5),
-        q(0.99),
-        r.recoveries,
-        r.respawns,
-        r.micro_reboots,
-        r.cold_restarts,
-    );
-}
-
-/// Invariant checks beyond the per-run assertions: every faulted tenant
-/// ends recovered (serving/probation/restarting) or explicitly quarantined
-/// behind an open breaker — there is no fourth state.
-fn supervision_closed(r: &ServeReport) -> bool {
-    r.tenants.iter().all(|t| {
-        matches!(
-            t.state,
-            "serving" | "probation" | "restarting" | "breaker-open" | "breaker-open-terminal"
-        )
-    })
-}
+use regvault_bench::write_figure_json;
+use regvault_cli::json;
+use regvault_cli::serve::{gate, render_human, to_json};
+use regvault_server::{ServeConfig, Supervisor};
 
 fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -108,32 +36,26 @@ fn main() -> ExitCode {
          full protection, seed {seed:#x}\n"
     );
 
-    let baseline = run(ServeConfig {
-        requests,
-        seed,
-        fault_interval: 0,
-        ..ServeConfig::default()
+    // Three runs from one seed: fault-free, under faults, and the same
+    // faulted run with micro-reboot off (the cold-restart recovery
+    // baseline, where escalations pay the full cold-reboot penalty).
+    let [baseline, faulted, cold_only] = [
+        ("baseline", 0, true),
+        ("under-faults", fault_interval, true),
+        ("cold-respawn", fault_interval, false),
+    ]
+    .map(|(label, fault_interval, micro_reboot)| {
+        let config = ServeConfig {
+            requests,
+            seed,
+            fault_interval,
+            micro_reboot,
+            ..ServeConfig::default()
+        };
+        let report = Supervisor::new(config).expect("kernel boot").run();
+        print!("[{label}] {}", render_human(&report));
+        report
     });
-    print_row("baseline", &baseline);
-
-    let faulted = run(ServeConfig {
-        requests,
-        seed,
-        fault_interval,
-        ..ServeConfig::default()
-    });
-    print_row("under-faults", &faulted);
-
-    // The PR-6-style recovery baseline: same faulted run with micro-reboot
-    // off, so escalations pay the full cold-reboot penalty.
-    let cold_only = run(ServeConfig {
-        requests,
-        seed,
-        fault_interval,
-        micro_reboot: false,
-        ..ServeConfig::default()
-    });
-    print_row("cold-respawn", &cold_only);
 
     let mut ok = true;
     for (label, r) in [
@@ -141,16 +63,8 @@ fn main() -> ExitCode {
         ("under-faults", &faulted),
         ("cold-respawn", &cold_only),
     ] {
-        if !r.accounting_holds() {
-            eprintln!("FAIL: {label}: accounting identity violated: {r:?}");
-            ok = false;
-        }
-        if r.aborted {
-            eprintln!("FAIL: {label}: run aborted at its safety guard");
-            ok = false;
-        }
-        if !supervision_closed(r) {
-            eprintln!("FAIL: {label}: tenant in unknown supervision state");
+        if let Err(err) = gate(r) {
+            eprintln!("FAIL: {label}: {err}");
             ok = false;
         }
     }
@@ -163,34 +77,21 @@ fn main() -> ExitCode {
         ok = false;
     }
 
-    println!(
-        "\nunder faults: {} injected, {} fail-overs, {} tenant respawns, \
-         {} micro reboots, {} cold restarts, {} breaker opens, {} terminal",
-        faulted.faults_injected,
-        faulted.recoveries,
-        faulted.respawns,
-        faulted.micro_reboots,
-        faulted.cold_restarts,
-        faulted.breaker_opens,
-        faulted.terminal_tenants,
-    );
-
     if quick {
         println!("\n--quick: skipping BENCH_serve.json rewrite");
     } else {
-        let doc = Value::Obj(vec![
-            ("bench".into(), Value::Str("serve".into())),
-            ("requests".into(), Value::Int(requests)),
-            ("tenants".into(), Value::Int(4)),
-            ("seed".into(), Value::Int(seed)),
-            ("fault_interval_cycles".into(), Value::Int(fault_interval)),
-            report_to_json("baseline", &baseline),
-            report_to_json("under_faults", &faulted),
-            report_to_json("under_faults_cold_respawn", &cold_only),
-        ]);
-        let path = repo_root().join("BENCH_serve.json");
-        std::fs::write(&path, doc.render()).expect("write BENCH_serve.json");
-        println!("\nwrote {}", path.display());
+        let doc = json!({
+            "bench": "serve",
+            "requests": requests,
+            "tenants": 4_u64,
+            "seed": seed,
+            "fault_interval_cycles": fault_interval,
+            "baseline": to_json(&baseline),
+            "under_faults": to_json(&faulted),
+            "under_faults_cold_respawn": to_json(&cold_only),
+        });
+        println!();
+        write_figure_json("serve", &doc);
     }
 
     if ok {

@@ -16,10 +16,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
-
 use std::path::PathBuf;
 
+use regvault_cli::json;
+use regvault_cli::json::Value;
 use regvault_workloads::{OverheadRow, Workload};
 
 /// The repository root (two levels above this crate's manifest), where the
@@ -37,33 +37,30 @@ pub fn repo_root() -> PathBuf {
 /// `fig5*` binaries: per-workload base cycles and per-config overhead
 /// fractions, plus the geometric-mean row.
 #[must_use]
-pub fn overhead_rows_to_json(figure: &str, rows: &[OverheadRow]) -> json::Value {
-    let mut workloads = Vec::new();
-    for row in rows {
-        let mut obj = vec![
-            ("name".to_string(), json::Value::Str(row.name.to_string())),
-            ("base_cycles".to_string(), json::Value::Int(row.base_cycles)),
-        ];
-        for (label, overhead) in &row.overheads {
-            obj.push((
-                format!("overhead_{}", label.to_lowercase().replace('-', "_")),
-                json::Value::Num(*overhead),
-            ));
-        }
-        workloads.push(json::Value::Obj(obj));
-    }
-    let mut means = Vec::new();
-    for label in ["RA", "FP", "NON-CONTROL", "FULL"] {
-        means.push((
-            format!("mean_{}", label.to_lowercase().replace('-', "_")),
-            json::Value::Num(regvault_workloads::mean_overhead(rows, label)),
-        ));
-    }
-    json::Value::Obj(vec![
-        ("figure".to_string(), json::Value::Str(figure.to_string())),
-        ("workloads".to_string(), json::Value::Arr(workloads)),
-        ("geomean".to_string(), json::Value::Obj(means)),
-    ])
+pub fn overhead_rows_to_json(figure: &str, rows: &[OverheadRow]) -> Value {
+    let key = |label: &str| label.to_lowercase().replace('-', "_");
+    let workloads: Vec<Value> = rows
+        .iter()
+        .map(|row| {
+            let mut obj = vec![
+                ("name".to_owned(), row.name.into()),
+                ("base_cycles".to_owned(), row.base_cycles.into()),
+            ];
+            obj.extend(row.overheads.iter().map(|(label, overhead)| {
+                (format!("overhead_{}", key(label)), Value::Num(*overhead))
+            }));
+            Value::Obj(obj)
+        })
+        .collect();
+    let means = ["RA", "FP", "NON-CONTROL", "FULL"].map(|label| {
+        let mean = regvault_workloads::mean_overhead(rows, label);
+        (format!("mean_{}", key(label)), Value::Num(mean))
+    });
+    json!({
+        "figure": figure,
+        "workloads": workloads,
+        "geomean": Value::Obj(means.into()),
+    })
 }
 
 /// Writes a figure's JSON artifact as `BENCH_<stem>.json` at the repo root
@@ -73,7 +70,7 @@ pub fn overhead_rows_to_json(figure: &str, rows: &[OverheadRow]) -> json::Value 
 ///
 /// Panics when the file cannot be written — the harness treats that as a
 /// broken checkout.
-pub fn write_figure_json(stem: &str, value: &json::Value) {
+pub fn write_figure_json(stem: &str, value: &Value) {
     let path = repo_root().join(format!("BENCH_{stem}.json"));
     std::fs::write(&path, value.render()).expect("write benchmark JSON");
     println!("wrote {}", path.display());

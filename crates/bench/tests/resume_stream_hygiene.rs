@@ -60,6 +60,27 @@ fn mismatched_resume_exits_2_with_clean_stdout() {
 }
 
 #[test]
+fn v1_text_checkpoint_is_refused_not_resumed() {
+    let ckpt = checkpoint_path("v1");
+    std::fs::write(&ckpt, "fault-campaign-checkpoint v1\nparams seed=7\n").unwrap();
+    let path = ckpt.to_str().unwrap();
+    let out = campaign(&[
+        "--seed",
+        "7",
+        "--trials",
+        "1",
+        "--checkpoint",
+        path,
+        "--resume",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("v1 text checkpoint"), "{stderr}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
 fn resumed_stdout_is_byte_identical_to_cold_stdout() {
     let ckpt = checkpoint_path("identical");
     let base = [

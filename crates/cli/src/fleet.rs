@@ -4,8 +4,11 @@
 
 use std::fmt::Write as _;
 
-use regvault_server::fleet::{run_fleet, FleetConfig, FleetReport};
+use regvault_server::fleet::{run_fleet, FleetConfig, FleetReport, FleetScenario};
 
+use crate::json;
+use crate::json::Value;
+use crate::serve::latency_json;
 use crate::CliError;
 
 /// Parsed `fleet` arguments.
@@ -92,73 +95,56 @@ pub fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, CliError> {
     })
 }
 
-/// Renders a fleet report as JSON. The `scenario` object is deterministic
-/// per seed; the `host` object carries wall-clock measurements.
+/// The fleet report as JSON: the one serializer behind `fleet --json` and
+/// each section of `BENCH_fleet.json`. The `scenario` object is
+/// deterministic per seed; the `host` object carries wall-clock
+/// measurements.
 #[must_use]
-pub fn render_json(report: &FleetReport) -> String {
-    let mut out = render_scenario_json(report);
-    out.pop(); // trailing newline
-    out.pop(); // closing brace
+pub fn to_json(report: &FleetReport) -> Value {
     let h = &report.host;
-    let _ = writeln!(
-        out,
-        ",\"host\":{{\"boot_nanos\":{},\"fork_nanos_mean\":{:.0},\
-         \"fork_speedup\":{:.1},\"run_nanos\":{},\"workers\":{},\
-         \"steps_per_sec\":{:.0}}}}}",
-        h.boot_nanos,
-        h.fork_nanos_mean(),
-        h.fork_speedup(),
-        h.run_nanos,
-        h.workers,
-        report.steps_per_sec(),
-    );
-    out
+    json!({
+        "scenario": scenario_json(&report.scenario),
+        "host": json!({
+            "boot_nanos": h.boot_nanos,
+            "fork_nanos_mean": h.fork_nanos_mean(),
+            "fork_speedup": h.fork_speedup(),
+            "run_nanos": h.run_nanos,
+            "workers": h.workers,
+            "steps_per_sec": report.steps_per_sec(),
+        }),
+    })
 }
 
-/// Renders only the deterministic scenario half as JSON — byte-identical
-/// across runs with the same seed and config, for seed-stability checks.
+/// The deterministic scenario half as JSON — identical across runs with the
+/// same seed and config, for seed-stability checks.
 #[must_use]
-pub fn render_scenario_json(report: &FleetReport) -> String {
-    let s = &report.scenario;
-    let q = |x: f64| s.latency.quantile(x).unwrap_or(0);
-    let rq = |x: f64| s.recovery_latency.quantile(x).unwrap_or(0);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"instances\":{},\"offered\":{},\"served\":{},\"failed\":{},\
-         \"shed\":{},\"accounting_holds\":{},\
-         \"kills\":{},\"micro_restores\":{},\"cold_boots\":{},\
-         \"restore_mismatches\":{},\
-         \"steps\":{},\"busy_cycles\":{},\
-         \"latency\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p90\":{},\"p99\":{}}},\
-         \"recovery\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p99\":{}}},\
-         \"warm_pages\":{},\"dirty_pages_mean\":{:.1},\"dirty_pages_max\":{}}}",
-        s.instances,
-        s.offered,
-        s.served,
-        s.failed,
-        s.shed,
-        s.accounting_holds(),
-        s.kills,
-        s.micro_restores,
-        s.cold_boots,
-        s.restore_mismatches,
-        s.steps,
-        s.busy_cycles,
-        s.latency.count(),
-        s.latency.mean(),
-        q(0.5),
-        q(0.9),
-        q(0.99),
-        s.recovery_latency.count(),
-        s.recovery_latency.mean(),
-        rq(0.5),
-        rq(0.99),
-        s.warm_pages,
-        s.dirty_pages_mean(),
-        s.dirty_pages_max,
-    );
-    out
+pub fn scenario_json(s: &FleetScenario) -> Value {
+    let recovery = &s.recovery_latency;
+    let rq = |x: f64| recovery.quantile(x).unwrap_or(0);
+    json!({
+        "instances": s.instances,
+        "offered": s.offered,
+        "served": s.served,
+        "failed": s.failed,
+        "shed": s.shed,
+        "accounting_holds": s.accounting_holds(),
+        "kills": s.kills,
+        "micro_restores": s.micro_restores,
+        "cold_boots": s.cold_boots,
+        "restore_mismatches": s.restore_mismatches,
+        "steps": s.steps,
+        "busy_cycles": s.busy_cycles,
+        "latency": latency_json(&s.latency),
+        "recovery": json!({
+            "count": recovery.count(),
+            "mean": recovery.mean(),
+            "p50": rq(0.5),
+            "p99": rq(0.99),
+        }),
+        "warm_pages": s.warm_pages,
+        "dirty_pages_mean": s.dirty_pages_mean(),
+        "dirty_pages_max": s.dirty_pages_max,
+    })
 }
 
 /// Renders a fleet report for humans.
@@ -220,6 +206,25 @@ pub fn render_human(report: &FleetReport) -> String {
     out
 }
 
+/// A run's health criteria, shared by `fleet --smoke` and the bench bin:
+/// the accounting identity holds, every kill was recovered, and the warm
+/// image passed every restore-integrity check.
+///
+/// # Errors
+///
+/// Describes the first criterion the scenario misses.
+pub fn gate(s: &FleetScenario) -> Result<(), CliError> {
+    if !s.accounting_holds() {
+        Err("accounting identity violated".to_owned())
+    } else if s.micro_restores + s.cold_boots != s.kills {
+        Err("unrecovered kill".to_owned())
+    } else if s.restore_mismatches > 0 {
+        Err("warm image failed integrity check".to_owned())
+    } else {
+        Ok(())
+    }
+}
+
 /// Runs the fleet scenario.
 ///
 /// # Errors
@@ -231,33 +236,22 @@ pub fn cmd_fleet(args: &[String]) -> Result<String, CliError> {
     let args = parse_fleet_args(args)?;
     let report = run_fleet(&args.config);
     let rendered = if args.json {
-        render_json(&report)
+        to_json(&report).render()
     } else {
         render_human(&report)
     };
     if args.smoke {
         let s = &report.scenario;
-        if !s.accounting_holds() {
-            return Err(format!(
-                "{rendered}fleet --smoke: accounting identity violated\n"
-            ));
-        }
-        if s.kills == 0 {
-            return Err(format!("{rendered}fleet --smoke: chaos never fired\n"));
-        }
-        if s.micro_restores + s.cold_boots != s.kills {
-            return Err(format!("{rendered}fleet --smoke: unrecovered kill\n"));
-        }
-        if s.restore_mismatches > 0 {
-            return Err(format!(
-                "{rendered}fleet --smoke: warm image failed integrity check\n"
-            ));
-        }
-        if s.served == 0 {
-            return Err(format!(
-                "{rendered}fleet --smoke: nothing served through chaos\n"
-            ));
-        }
+        let chaos = if s.kills == 0 {
+            Err("chaos never fired".to_owned())
+        } else if s.served == 0 {
+            Err("nothing served through chaos".to_owned())
+        } else {
+            Ok(())
+        };
+        gate(s)
+            .and(chaos)
+            .map_err(|err| format!("{rendered}fleet --smoke: {err}\n"))?;
     }
     Ok(rendered)
 }
@@ -275,27 +269,6 @@ mod tests {
         let out = cmd_fleet(&s(&["--smoke", "--seed", "11"])).expect("smoke passes");
         assert!(out.contains("accounting holds"), "{out}");
         assert!(out.contains("chaos"), "{out}");
-    }
-
-    #[test]
-    fn json_output_is_machine_readable() {
-        let out = cmd_fleet(&s(&[
-            "--json",
-            "--instances",
-            "4",
-            "--requests",
-            "8",
-            "--seed",
-            "3",
-        ]))
-        .expect("fleet runs");
-        assert!(out.contains("\"accounting_holds\":true"), "{out}");
-        assert!(out.contains("\"fork_speedup\":"), "{out}");
-        assert_eq!(
-            out.matches('{').count(),
-            out.matches('}').count(),
-            "balanced JSON: {out}"
-        );
     }
 
     #[test]
@@ -328,7 +301,6 @@ mod tests {
     /// counts — and changes with the seed.
     #[test]
     fn same_seed_renders_identical_scenario_json() {
-        use regvault_server::fleet::{run_fleet, FleetConfig};
         let cfg = FleetConfig {
             instances: 5,
             requests_per_instance: 10,
@@ -336,13 +308,14 @@ mod tests {
             seed: 0xABCD,
             ..FleetConfig::default()
         };
-        let a = render_scenario_json(&run_fleet(&cfg));
-        let b = render_scenario_json(&run_fleet(&FleetConfig { workers: 1, ..cfg }));
+        let scenario = |cfg: &FleetConfig| scenario_json(&run_fleet(cfg).scenario).render();
+        let a = scenario(&cfg);
+        let b = scenario(&FleetConfig { workers: 1, ..cfg });
         assert_eq!(a, b, "scenario body must be seed-stable");
-        let c = render_scenario_json(&run_fleet(&FleetConfig {
+        let c = scenario(&FleetConfig {
             seed: 0xABCE,
             ..cfg
-        }));
+        });
         assert_ne!(a, c, "a different seed must actually change the run");
     }
 }

@@ -13,6 +13,8 @@ use regvault_attacks::oracle::{CollisionReport, MemOracle};
 use regvault_server::{ServeConfig, Supervisor};
 use regvault_workloads::{lmbench::Lmbench, spec::Spec, unixbench::UnixBench, Workload};
 
+use crate::json;
+use crate::json::Value;
 use crate::CliError;
 
 /// Default campaign seed (shared with the bench bin so the committed
@@ -154,50 +156,45 @@ pub fn run_campaign(seed: u64, smoke: bool) -> Result<LeakageReport, CliError> {
     Ok(LeakageReport { scenarios })
 }
 
-fn render_report_json(report: &CollisionReport) -> String {
-    format!(
-        "{{\"observations\":{},\"distinct_pairs\":{},\"collisions\":{},\
-         \"colliding_pairs\":{},\"rate\":{:.6}}}",
-        report.observations,
-        report.distinct_pairs,
-        report.collisions,
-        report.colliding_pairs,
-        report.collision_rate()
-    )
+fn collisions_json(c: &CollisionReport) -> Value {
+    json!({
+        "observations": c.observations,
+        "distinct_pairs": c.distinct_pairs,
+        "collisions": c.collisions,
+        "colliding_pairs": c.colliding_pairs,
+        "rate": c.collision_rate(),
+    })
 }
 
-/// Renders the campaign as JSON (hand-rolled, byte-stable per seed).
+/// The campaign as JSON: the one serializer behind `leakage --json` and
+/// `BENCH_leakage.json` (byte-stable per seed).
 #[must_use]
-pub fn render_json(report: &LeakageReport, seed: u64) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"seed\":{seed},\"scenarios\":[");
-    for (i, row) in report.scenarios.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"off\":{},\"on\":{},\"epoch_rekeys\":{},\
-             \"reduction\":{:.2}}}",
-            row.name,
-            render_report_json(&row.off),
-            render_report_json(&row.on),
-            row.epoch_rekeys,
-            row.reduction()
-        );
-    }
-    let _ = writeln!(
-        out,
-        "],\"total_off_collisions\":{},\"total_on_collisions\":{},\
-         \"overall_reduction\":{:.2}}}",
-        report.total_off_collisions(),
-        report.total_on_collisions(),
-        report.overall_reduction()
-    );
-    out
+pub fn to_json(report: &LeakageReport, seed: u64) -> Value {
+    let scenarios: Vec<Value> = report
+        .scenarios
+        .iter()
+        .map(|row| {
+            json!({
+                "name": row.name.as_str(),
+                "off": collisions_json(&row.off),
+                "on": collisions_json(&row.on),
+                "epoch_rekeys": row.epoch_rekeys,
+                "reduction": row.reduction(),
+            })
+        })
+        .collect();
+    json!({
+        "seed": seed,
+        "scenarios": scenarios,
+        "total_off_collisions": report.total_off_collisions(),
+        "total_on_collisions": report.total_on_collisions(),
+        "overall_reduction": report.overall_reduction(),
+    })
 }
 
-fn render_human(report: &LeakageReport, seed: u64) -> String {
+/// Renders the campaign for humans: one row per scenario plus the totals.
+#[must_use]
+pub fn render_human(report: &LeakageReport, seed: u64) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -230,6 +227,33 @@ fn render_human(report: &LeakageReport, seed: u64) -> String {
     out
 }
 
+/// The campaign's pass criteria, shared by `leakage --smoke` and the bench
+/// bin: the unmitigated corpus must leak, the mitigation must cut
+/// collisions at least 10x, and some mitigated run must actually rekey.
+///
+/// # Errors
+///
+/// Describes the first criterion the report misses.
+pub fn gate(report: &LeakageReport) -> Result<(), CliError> {
+    if report.total_off_collisions() == 0 {
+        return Err("unmitigated corpus shows no collisions — \
+                    the oracle is not observing the side channel"
+            .to_owned());
+    }
+    if report.overall_reduction() < 10.0 {
+        return Err(format!(
+            "mitigation reduction {:.1}x is below the 10x floor (off={} on={})",
+            report.overall_reduction(),
+            report.total_off_collisions(),
+            report.total_on_collisions()
+        ));
+    }
+    if report.scenarios.iter().all(|r| r.epoch_rekeys == 0) {
+        return Err("no mitigated run performed a rekey — the knob is dead".to_owned());
+    }
+    Ok(())
+}
+
 /// `leakage [--seed S] [--json] [--smoke]`.
 ///
 /// # Errors
@@ -241,23 +265,10 @@ pub fn cmd_leakage(args: &[String]) -> Result<String, CliError> {
     let parsed = parse_leakage_args(args)?;
     let report = run_campaign(parsed.seed, parsed.smoke)?;
     if parsed.smoke {
-        if report.total_off_collisions() == 0 {
-            return Err("leakage smoke: unmitigated corpus shows no collisions — \
-                 the oracle is not observing the side channel"
-                .to_owned());
-        }
-        if report.overall_reduction() < 10.0 {
-            return Err(format!(
-                "leakage smoke: mitigation reduction {:.1}x is below the 10x floor \
-                 (off={} on={})",
-                report.overall_reduction(),
-                report.total_off_collisions(),
-                report.total_on_collisions()
-            ));
-        }
+        gate(&report).map_err(|err| format!("leakage smoke: {err}"))?;
     }
     if parsed.json {
-        Ok(render_json(&report, parsed.seed))
+        Ok(to_json(&report, parsed.seed).render())
     } else {
         Ok(render_human(&report, parsed.seed))
     }
@@ -280,7 +291,8 @@ mod tests {
         let a = cmd_leakage(&args).unwrap();
         let b = cmd_leakage(&args).unwrap();
         assert_eq!(a, b);
-        assert!(a.starts_with("{\"seed\":"));
+        let doc = Value::parse(&a).expect("leakage --json parses");
+        assert_eq!(doc.get("seed"), Some(&Value::Int(DEFAULT_SEED)));
     }
 
     #[test]

@@ -29,10 +29,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fleet;
+pub mod fleet;
+pub mod json;
 pub mod leakage;
 mod observe;
-mod serve;
+pub mod serve;
 
 pub use fleet::{cmd_fleet, parse_fleet_args, FleetArgs};
 pub use observe::{cmd_metrics, cmd_profile, cmd_trace, ProfileTracer, TraceFormat, TraceSubject};
@@ -51,10 +52,11 @@ use regvault_sim::{
 use regvault_verifier::baseline::Baseline;
 use regvault_verifier::callgraph::CallGraphStats;
 use regvault_verifier::{
-    sarif_report, verify as verifier_verify, ProtectionManifest, Report, Severity, VerifyOptions,
-    ViolationKind,
+    verify as verifier_verify, ProtectionManifest, Report, Severity, VerifyOptions, ViolationKind,
 };
 use regvault_workloads::{lmbench::Lmbench, spec::Spec, unixbench::UnixBench, Workload};
+
+use crate::json::Value;
 
 /// Error string type used by the CLI (messages go straight to stderr).
 pub type CliError = String;
@@ -644,6 +646,104 @@ fn apply_ratchet(
     Ok((out, !new.is_empty()))
 }
 
+/// A verifier report as JSON: `{clean, functions, instructions, crypto_ops,
+/// errors, warnings, violations: [{kind, severity, function, offset, insn,
+/// detail, fingerprint}], skipped_data: [..], callgraph?: {..}}`.
+#[must_use]
+pub fn report_json(report: &Report) -> Value {
+    let violations: Vec<Value> = report
+        .violations
+        .iter()
+        .map(|v| {
+            json!({
+                "kind": v.kind.id(),
+                "severity": v.severity().id(),
+                "function": v.function.as_str(),
+                "offset": v.offset,
+                "insn": v.insn.as_str(),
+                "detail": v.detail.as_str(),
+                "fingerprint": v.fingerprint.as_str(),
+            })
+        })
+        .collect();
+    let skipped: Vec<Value> = report
+        .skipped_data
+        .iter()
+        .map(|n| n.as_str().into())
+        .collect();
+    let mut doc = json!({
+        "clean": report.is_clean(),
+        "functions": report.stats.len(),
+        "instructions": report.instructions(),
+        "crypto_ops": report.crypto_ops(),
+        "errors": report.count_by_severity(Severity::Error),
+        "warnings": report.count_by_severity(Severity::Warning),
+        "violations": violations,
+        "skipped_data": skipped,
+    });
+    if let (Some(g), Value::Obj(pairs)) = (report.graph, &mut doc) {
+        let graph = json!({
+            "functions": g.functions,
+            "edges": g.edges,
+            "direct_calls": g.direct_calls,
+            "resolved_indirect": g.resolved_indirect,
+            "unresolved_indirect": g.unresolved_indirect,
+            "tail_calls": g.tail_calls,
+        });
+        pairs.push(("callgraph".to_owned(), graph));
+    }
+    doc
+}
+
+/// One or more labeled reports as a SARIF 2.1.0-style document.
+///
+/// `runs` pairs an artifact label (e.g. `dhry2@full` or a file name) with
+/// its report; all results land in a single SARIF run so the document is one
+/// ratchetable unit. Fingerprints are emitted as the `regvault/v1` partial
+/// fingerprint, which is what the baseline matches on.
+#[must_use]
+pub fn sarif_json(runs: &[(String, &Report)]) -> Value {
+    let rules: Vec<Value> = ViolationKind::ALL
+        .iter()
+        .map(|kind| {
+            json!({
+                "id": kind.id(),
+                "defaultConfiguration": json!({ "level": kind.severity().id() }),
+            })
+        })
+        .collect();
+    let results: Vec<Value> = runs
+        .iter()
+        .flat_map(|(label, report)| report.violations.iter().map(move |v| (label, v)))
+        .map(|(label, v)| {
+            let location = json!({
+                "physicalLocation": json!({
+                    "artifactLocation": json!({ "uri": label.as_str() }),
+                    "region": json!({ "byteOffset": v.offset }),
+                }),
+                "logicalLocations": vec![json!({ "name": v.function.as_str() })],
+            });
+            json!({
+                "ruleId": v.kind.id(),
+                "level": v.severity().id(),
+                "message": json!({ "text": format!("{} — {}", v.insn, v.detail) }),
+                "locations": vec![location],
+                "partialFingerprints": json!({ "regvault/v1": v.fingerprint.as_str() }),
+            })
+        })
+        .collect();
+    let driver = json!({
+        "name": "regvault-verifier",
+        "version": env!("CARGO_PKG_VERSION"),
+        "rules": rules,
+    });
+    json!({
+        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
+        "version": "2.1.0",
+        "runs": vec![json!({ "tool": json!({ "driver": driver }), "results": results })],
+    })
+}
+
 /// Verifies a hand-written assembly program against the RegVault dataflow
 /// invariants. Regions that fail to decode are skipped as data (hand-written
 /// images may interleave `.dword` pools with code).
@@ -677,10 +777,10 @@ pub fn cmd_verify_source(source: &str, args: &VerifyArgs) -> Result<String, CliE
     let elapsed = started.elapsed();
     let runs = vec![("<input>".to_owned(), &report)];
     let (ratchet_text, ratchet_failed) = apply_ratchet(args, &runs)?;
-    let mut rendered = if args.sarif {
-        sarif_report(&runs)
+    let rendered = if args.sarif {
+        sarif_json(&runs).render()
     } else if args.json {
-        report.render_json()
+        report_json(&report).render()
     } else {
         let mut text = report.render_human();
         if args.interprocedural {
@@ -689,9 +789,6 @@ pub fn cmd_verify_source(source: &str, args: &VerifyArgs) -> Result<String, CliE
         text.push_str(&ratchet_text);
         text
     };
-    if !rendered.ends_with('\n') {
-        rendered.push('\n');
-    }
     if report.has_errors() || ratchet_failed {
         Err(rendered)
     } else {
@@ -777,20 +874,19 @@ pub fn cmd_verify_workloads(args: &VerifyArgs) -> Result<String, CliError> {
         .sum();
     let mut out = String::new();
     if args.sarif {
-        let _ = writeln!(out, "{}", sarif_report(&runs));
+        out = sarif_json(&runs).render();
     } else if args.json {
-        let _ = write!(out, "{{\"clean\":{},\"images\":[", total_violations == 0);
-        for (i, (name, label, report)) in rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{name}\",\"config\":\"{label}\",\"report\":{}}}",
-                report.render_json()
-            );
-        }
-        let _ = writeln!(out, "]}}");
+        let images: Vec<Value> = rows
+            .iter()
+            .map(|(name, label, report)| {
+                json!({
+                    "name": name.as_str(),
+                    "config": *label,
+                    "report": report_json(report),
+                })
+            })
+            .collect();
+        out = json!({ "clean": total_violations == 0, "images": images }).render();
     } else {
         for (name, label, report) in &rows {
             let verdict = if report.has_errors() { "FAIL" } else { "OK" };
@@ -1107,7 +1203,8 @@ mod tests {
             ..VerifyArgs::default()
         };
         let out = cmd_verify_source("main:\n  ebreak", &args).unwrap();
-        assert!(out.contains("\"clean\":true"), "{out}");
+        let doc = Value::parse(&out).expect("verify --json parses");
+        assert_eq!(doc.get("clean"), Some(&Value::Bool(true)), "{out}");
     }
 
     #[test]
@@ -1170,8 +1267,59 @@ mod tests {
             ..VerifyArgs::default()
         };
         let out = cmd_verify_source("main:\n  ebreak", &args).unwrap();
-        assert!(out.contains("\"version\":\"2.1.0\""), "{out}");
-        assert!(out.contains("regvault-verifier"), "{out}");
+        let doc = Value::parse(&out).expect("verify --sarif parses");
+        assert_eq!(doc.get("version"), Some(&Value::from("2.1.0")), "{out}");
+        assert_eq!(
+            doc.get("runs.0.tool.driver.name"),
+            Some(&Value::from("regvault-verifier")),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn report_and_sarif_serializers_carry_every_field() {
+        let mut report = Report::default();
+        report.violations.push(regvault_verifier::Violation {
+            kind: ViolationKind::PlainSpill,
+            function: "main".into(),
+            offset: 0x40,
+            insn: "sd t0, 0(t6)".into(),
+            detail: "sensitive \"plaintext\"\nstored to stack".into(),
+            context: Vec::new(),
+            fingerprint: String::new(),
+        });
+        report.finalize();
+        let fingerprint = report.violations[0].fingerprint.as_str();
+        let violation = json!({
+            "kind": "plain-spill",
+            "severity": "error",
+            "function": "main",
+            "offset": 64_u64,
+            "insn": "sd t0, 0(t6)",
+            "detail": "sensitive \"plaintext\"\nstored to stack",
+            "fingerprint": fingerprint,
+        });
+        let doc = report_json(&report);
+        assert_eq!(doc.get("errors"), Some(&Value::Int(1)));
+        assert_eq!(doc.get("violations.0"), Some(&violation));
+        assert_eq!(doc.get("callgraph"), None);
+        assert_eq!(Value::parse(&doc.render()), Ok(doc));
+
+        let sarif = sarif_json(&[("img@full".to_owned(), &report)]);
+        let result = sarif.get("runs.0.results.0").expect("one result");
+        for (path, want) in [
+            ("ruleId", "plain-spill"),
+            (
+                "locations.0.physicalLocation.artifactLocation.uri",
+                "img@full",
+            ),
+            ("locations.0.logicalLocations.0.name", "main"),
+            ("partialFingerprints.regvault/v1", fingerprint),
+        ] {
+            assert_eq!(result.get(path), Some(&Value::from(want)), "{path}");
+        }
+        let rule = sarif.get("runs.0.tool.driver.rules.10.id");
+        assert_eq!(rule, Some(&Value::from("unprotected-spill-gadget")));
     }
 
     /// A crypto round-trip program for record/replay/divergence tests.

@@ -4,8 +4,11 @@
 
 use std::fmt::Write as _;
 
+use regvault_metrics::HistogramData;
 use regvault_server::{ServeConfig, ServeReport, Supervisor};
 
+use crate::json;
+use crate::json::Value;
 use crate::{parse_config, CliError};
 
 /// Parsed `serve` arguments.
@@ -93,71 +96,62 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
     })
 }
 
-/// Renders a serve report as JSON (same hand-rolled shape as the rest of
-/// the CLI: no serde in the container).
+/// The `{count, mean, p50, p90, p99}` summary of a cycle-latency histogram,
+/// shared by the serve and fleet reports.
+pub(crate) fn latency_json(latency: &HistogramData) -> Value {
+    let q = |x: f64| latency.quantile(x).unwrap_or(0);
+    json!({
+        "count": latency.count(),
+        "mean": latency.mean(),
+        "p50": q(0.5),
+        "p90": q(0.9),
+        "p99": q(0.99),
+    })
+}
+
+/// The serve report as JSON: the one serializer behind `serve --json` and
+/// each section of `BENCH_serve.json`.
 #[must_use]
-pub fn render_json(report: &ServeReport) -> String {
-    let q = |x: f64| report.latency.quantile(x).unwrap_or(0);
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"offered\":{},\"served\":{},\"failed\":{},\"shed\":{},\
-         \"shed_deadline\":{},\
-         \"accounting_holds\":{},\"rps_per_mcycle\":{:.3},\
-         \"faults_injected\":{},\"recoveries\":{},\"respawns\":{},\
-         \"respawns_denied\":{},\"frontend_respawns\":{},\
-         \"cold_restarts\":{},\"micro_reboots\":{},\
-         \"micro_reboot_mismatches\":{},\
-         \"breaker_opens\":{},\"terminal_tenants\":{},\
-         \"cycles\":{},\"aborted\":{},\
-         \"latency\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p90\":{},\"p99\":{}}},\
-         \"tenants\":[",
-        report.offered,
-        report.served,
-        report.failed,
-        report.shed,
-        report.shed_deadline,
-        report.accounting_holds(),
-        report.rps_per_mcycle(),
-        report.faults_injected,
-        report.recoveries,
-        report.respawns,
-        report.respawns_denied,
-        report.frontend_respawns,
-        report.cold_restarts,
-        report.micro_reboots,
-        report.micro_reboot_mismatches,
-        report.breaker_opens,
-        report.terminal_tenants,
-        report.cycles,
-        report.aborted,
-        report.latency.count(),
-        report.latency.mean(),
-        q(0.5),
-        q(0.9),
-        q(0.99),
-    );
-    for (i, t) in report.tenants.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"slot\":{},\"state\":\"{}\",\"served\":{},\"failed\":{},\
-             \"shed\":{},\"respawns\":{},\"respawns_denied\":{},\
-             \"breaker_opens\":{}}}",
-            t.slot,
-            t.state,
-            t.served,
-            t.failed,
-            t.shed,
-            t.respawns,
-            t.respawns_denied,
-            t.breaker_opens,
-        );
-    }
-    out.push_str("]}\n");
-    out
+pub fn to_json(r: &ServeReport) -> Value {
+    let tenants: Vec<Value> = r
+        .tenants
+        .iter()
+        .map(|t| {
+            json!({
+                "slot": t.slot,
+                "state": t.state,
+                "served": t.served,
+                "failed": t.failed,
+                "shed": t.shed,
+                "respawns": t.respawns,
+                "respawns_denied": t.respawns_denied,
+                "breaker_opens": t.breaker_opens,
+            })
+        })
+        .collect();
+    json!({
+        "offered": r.offered,
+        "served": r.served,
+        "failed": r.failed,
+        "shed": r.shed,
+        "shed_deadline": r.shed_deadline,
+        "accounting_holds": r.accounting_holds(),
+        "rps_per_mcycle": r.rps_per_mcycle(),
+        "faults_injected": r.faults_injected,
+        "recoveries": r.recoveries,
+        "respawns": r.respawns,
+        "respawns_denied": r.respawns_denied,
+        "frontend_respawns": r.frontend_respawns,
+        "cold_restarts": r.cold_restarts,
+        "micro_reboots": r.micro_reboots,
+        "micro_reboot_mismatches": r.micro_reboot_mismatches,
+        "breaker_opens": r.breaker_opens,
+        "terminal_tenants": r.terminal_tenants,
+        "cycles": r.cycles,
+        "aborted": r.aborted,
+        "latency": latency_json(&r.latency),
+        "tenants": tenants,
+    })
 }
 
 /// Renders a serve report for humans.
@@ -229,6 +223,32 @@ pub fn render_human(report: &ServeReport) -> String {
     out
 }
 
+/// A run's health criteria, shared by `serve --smoke` and the bench bin:
+/// the run completed, the accounting identity holds, and every tenant ends
+/// recovered (serving/probation/restarting) or explicitly quarantined
+/// behind an open breaker — there is no fourth state.
+///
+/// # Errors
+///
+/// Describes the first criterion the report misses.
+pub fn gate(report: &ServeReport) -> Result<(), CliError> {
+    let known = |state: &str| {
+        matches!(
+            state,
+            "serving" | "probation" | "restarting" | "breaker-open" | "breaker-open-terminal"
+        )
+    };
+    if report.aborted {
+        Err("run aborted at its safety guard".to_owned())
+    } else if !report.accounting_holds() {
+        Err("accounting identity violated".to_owned())
+    } else if !report.tenants.iter().all(|t| known(t.state)) {
+        Err("tenant in unknown supervision state".to_owned())
+    } else {
+        Ok(())
+    }
+}
+
 /// Runs the serve scenario.
 ///
 /// # Errors
@@ -242,26 +262,20 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         .map_err(|e| format!("serve: kernel boot failed: {e}"))?
         .run();
     let rendered = if args.json {
-        render_json(&report)
+        to_json(&report).render()
     } else {
         render_human(&report)
     };
     if args.smoke {
-        if report.aborted {
-            return Err(format!("{rendered}serve --smoke: run aborted\n"));
-        }
-        if !report.accounting_holds() {
-            return Err(format!(
-                "{rendered}serve --smoke: accounting identity violated\n"
-            ));
-        }
         // Smoke mode always arms the injector; a zero count means it
         // silently failed to fire.
-        if report.faults_injected == 0 {
-            return Err(format!(
-                "{rendered}serve --smoke: fault injector never fired\n"
-            ));
-        }
+        let fired = match report.faults_injected {
+            0 => Err("fault injector never fired".to_owned()),
+            _ => Ok(()),
+        };
+        gate(&report)
+            .and(fired)
+            .map_err(|err| format!("{rendered}serve --smoke: {err}\n"))?;
     }
     Ok(rendered)
 }
@@ -279,28 +293,6 @@ mod tests {
         let out = cmd_serve(&s(&["--smoke", "--seed", "9"])).expect("smoke passes");
         assert!(out.contains("accounting holds"), "{out}");
         assert!(out.contains("faults"), "{out}");
-    }
-
-    #[test]
-    fn json_output_is_machine_readable() {
-        let out = cmd_serve(&s(&[
-            "--json",
-            "--requests",
-            "60",
-            "--faults",
-            "60000",
-            "--seed",
-            "4",
-        ]))
-        .expect("serve runs");
-        assert!(out.contains("\"accounting_holds\":true"), "{out}");
-        assert!(out.contains("\"p99\":"), "{out}");
-        assert!(out.contains("\"tenants\":["), "{out}");
-        assert_eq!(
-            out.matches('{').count(),
-            out.matches('}').count(),
-            "balanced JSON: {out}"
-        );
     }
 
     #[test]

@@ -8,6 +8,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use regvault_cli::json::Value;
+
 fn cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_regvault-cli"))
         .args(args)
@@ -22,6 +24,12 @@ fn scratch(name: &str, contents: &str) -> PathBuf {
     ));
     std::fs::write(&path, contents).expect("write scratch file");
     path
+}
+
+/// Parses a successful run's stdout as one JSON document.
+fn parse_stdout(out: &Output) -> Value {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    Value::parse(&stdout).unwrap_or_else(|err| panic!("{err}: {stdout}"))
 }
 
 const CLEAN_PROGRAM: &str = "main:\n  li a0, 1\n  ebreak\n";
@@ -101,9 +109,16 @@ fn trace_emits_chrome_json_and_rejects_malformed_input() {
     let program = scratch("trace.s", CRYPTO_PROGRAM);
     let out = cli(&["trace", program.to_str().unwrap(), "--chrome"]);
     assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.starts_with("{\"traceEvents\":["), "{stdout}");
-    assert!(stdout.contains("\"name\":\"qarma\""), "{stdout}");
+    let doc = parse_stdout(&out);
+    let Some(Value::Arr(events)) = doc.get("traceEvents") else {
+        panic!("no traceEvents array: {doc:?}");
+    };
+    assert!(
+        events
+            .iter()
+            .any(|e| e.get("name") == Some(&Value::from("qarma"))),
+        "{doc:?}"
+    );
 
     let bad = scratch("trace_bad.s", "not assembly at all\n");
     let out = cli(&["trace", bad.to_str().unwrap()]);
@@ -111,27 +126,6 @@ fn trace_emits_chrome_json_and_rejects_malformed_input() {
 
     let out = cli(&["trace", "--workload", "no-such-workload"]);
     assert!(!out.status.success(), "unknown workload must fail: {out:?}");
-}
-
-#[test]
-fn metrics_json_reports_clb_counters() {
-    let program = scratch("metrics.s", CRYPTO_PROGRAM);
-    let out = cli(&["metrics", program.to_str().unwrap(), "--json"]);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"clb_hits\":"), "{stdout}");
-    assert!(stdout.contains("\"qarma_ops_ksel_a\":"), "{stdout}");
-    assert!(stdout.contains("\"clb_hit_rate\":"), "{stdout}");
-}
-
-#[test]
-fn profile_attributes_by_function() {
-    let program = scratch("profile.s", CRYPTO_PROGRAM);
-    let out = cli(&["profile", program.to_str().unwrap(), "--json"]);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"name\":\"main\""), "{stdout}");
-    assert!(stdout.contains("\"crypto_ops\":2"), "{stdout}");
 }
 
 #[test]
@@ -176,8 +170,10 @@ fn verify_sarif_emits_a_document_and_keeps_the_exit_contract() {
     let clean = scratch("sarif_clean.s", CLEAN_PROGRAM);
     let out = cli(&["verify", clean.to_str().unwrap(), "--sarif"]);
     assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"version\":\"2.1.0\""), "{stdout}");
+    assert_eq!(
+        parse_stdout(&out).get("version"),
+        Some(&Value::from("2.1.0"))
+    );
 
     let dirty = scratch("sarif_spill.s", SPILL_PROGRAM);
     let out = cli(&["verify", dirty.to_str().unwrap(), "--sarif"]);
@@ -256,4 +252,56 @@ fn verify_rejects_contradictory_flag_combinations() {
     let clean = scratch("flags_clean.s", CLEAN_PROGRAM);
     let out = cli(&["verify", clean.to_str().unwrap(), "--json", "--sarif"]);
     assert!(!out.status.success(), "{out:?}");
+}
+
+/// Every JSON-emitting subcommand prints exactly one document that the
+/// workspace's own parser reads back. Each check is a dotted path that must
+/// resolve, optionally `=` the JSON value it must hold.
+#[test]
+fn every_json_subcommand_prints_one_parseable_document() {
+    let program = scratch("json_all.s", CRYPTO_PROGRAM);
+    let file = program.to_str().unwrap();
+    let cases: [(&[&str], &str); 9] = [
+        (
+            &["serve", "--smoke", "--json"],
+            "accounting_holds=true latency.p99 tenants.0.state",
+        ),
+        (
+            &["fleet", "--smoke", "--json"],
+            "scenario.accounting_holds=true host.fork_speedup",
+        ),
+        (&["leakage", "--smoke", "--json"], "overall_reduction"),
+        (
+            &["metrics", file, "--json"],
+            concat!(
+                "counters.clb_hits counters.clb_misses counters.qarma_ops_ksel_a ",
+                "clb_hit_rate clb.hits clb.misses",
+            ),
+        ),
+        (
+            &["profile", file, "--json"],
+            r#"functions.0.name="main" functions.0.crypto_ops=2 total_steps"#,
+        ),
+        (&["trace", file, "--json"], "emitted records.0.kind"),
+        (&["trace", file, "--chrome"], "traceEvents.0.ph"),
+        (&["verify", file, "--json"], "clean=true crypto_ops=2"),
+        (
+            &["verify", "--workloads", "--sarif"],
+            r#"version="2.1.0" runs.0.tool.driver.name="regvault-verifier""#,
+        ),
+    ];
+    for (args, checks) in cases {
+        let out = cli(args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        let doc = parse_stdout(&out);
+        for check in checks.split(' ') {
+            let (path, want) = match check.split_once('=') {
+                Some((path, want)) => (path, Some(Value::parse(want).expect("check value"))),
+                None => (check, None),
+            };
+            let got = doc.get(path);
+            let ok = got.is_some() && (want.is_none() || got == want.as_ref());
+            assert!(ok, "{args:?}: `{check}` resolved to {got:?}");
+        }
+    }
 }

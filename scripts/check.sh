@@ -4,7 +4,9 @@
 # (and humans) run before merging.
 #
 # Tiers:
-#   check.sh --quick   build + tests + clippy (the inner-loop gate)
+#   check.sh --quick   build + tests + clippy + serve/fleet smoke + a
+#                      trajectory pass over the committed BENCH_*.json
+#                      (the inner-loop gate)
 #   check.sh --full    everything: quick tier plus verifier corpus sweep,
 #                      fault-campaign determinism/quarantine gates,
 #                      record->replay smoke, and the perf-regression guard
@@ -59,6 +61,9 @@ target/release/regvault-cli serve --smoke > /dev/null
 
 echo "==> fleet smoke (snapshot-forked fleet under a chaos kill schedule)"
 target/release/regvault-cli fleet --smoke > /dev/null
+
+echo "==> bench trajectory paths (every gated path resolves in the committed BENCH_*.json)"
+target/release/trajectory --baseline . --fresh . > /dev/null
 
 if [ "$tier" = "quick" ]; then
     echo "OK (quick tier)"
