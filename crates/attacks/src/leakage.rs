@@ -169,7 +169,7 @@ fn observed_run(
         .machine_mut()
         .install_tracer(Box::new(MemOracle::watching(cip_frame_windows())));
     kernel.run_user(&scenario.image, scenario.entry, scenario.step_budget)?;
-    let rekeys = kernel.machine().metrics().get("epoch_rekeys").unwrap_or(0);
+    let rekeys = kernel.machine().engine().epoch_rekeys();
     let oracle = kernel
         .machine_mut()
         .take_tracer()

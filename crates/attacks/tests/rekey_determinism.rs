@@ -33,7 +33,7 @@ fn run_storm(seed: u64, reference_datapath: bool) -> (u64, u64, u64) {
     let exit = kernel
         .run_user(&scenario.image, scenario.entry, scenario.step_budget)
         .expect("trap storm completes");
-    let rekeys = kernel.machine().metrics().get("epoch_rekeys").unwrap_or(0);
+    let rekeys = kernel.machine().engine().epoch_rekeys();
     (exit, kernel.machine().arch_digest(), rekeys)
 }
 

@@ -25,13 +25,13 @@
 
 use std::process::ExitCode;
 
-use regvault_bench::write_figure_json;
+use regvault_bench::{quick_flag, write_figure_json};
 use regvault_cli::fleet::{gate, render_human, to_json};
 use regvault_cli::json;
 use regvault_server::fleet::{run_fleet, FleetConfig};
 
 fn main() -> ExitCode {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick_flag("fleet");
     let (instances, requests) = if quick { (16, 12) } else { (64, 48) };
     let seed = 0xF1EE_7C0DE;
     let chaos = 8; // mean requests between kills

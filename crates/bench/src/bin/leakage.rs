@@ -21,11 +21,11 @@
 
 use std::process::ExitCode;
 
-use regvault_bench::write_figure_json;
+use regvault_bench::{quick_flag, write_figure_json};
 use regvault_cli::leakage::{gate, render_human, run_campaign, to_json, DEFAULT_SEED};
 
 fn main() -> ExitCode {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick_flag("leakage");
     let seed = DEFAULT_SEED;
     let report = match run_campaign(seed, quick) {
         Ok(report) => report,

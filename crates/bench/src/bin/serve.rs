@@ -17,13 +17,13 @@
 
 use std::process::ExitCode;
 
-use regvault_bench::write_figure_json;
+use regvault_bench::{quick_flag, write_figure_json};
 use regvault_cli::json;
 use regvault_cli::serve::{gate, render_human, to_json};
 use regvault_server::{ServeConfig, Supervisor};
 
 fn main() -> ExitCode {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick_flag("serve");
     let (requests, fault_interval) = if quick {
         (200, 50_000)
     } else {

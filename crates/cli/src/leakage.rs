@@ -113,12 +113,7 @@ pub fn serve_scenario(seed: u64, smoke: bool) -> Result<ScenarioLeakage, CliErro
         if report.aborted {
             return Err("serve leakage scenario aborted".to_owned());
         }
-        let rekeys = supervisor
-            .kernel_mut()
-            .machine()
-            .metrics()
-            .get("epoch_rekeys")
-            .unwrap_or(0);
+        let rekeys = supervisor.kernel_mut().machine().engine().epoch_rekeys();
         let oracle = supervisor
             .kernel_mut()
             .machine_mut()

@@ -960,10 +960,14 @@ USAGE:
                                            per-function steps + crypto profile
     regvault-cli serve   [--tenants N] [--requests N] [--rate CYCLES]
                          [--faults CYCLES] [--seed S] [--queue-cap N]
-                         [--config LABEL] [--json] [--smoke]
+                         [--config LABEL] [--no-micro-reboot]
+                         [--deadline-factor K] [--json] [--smoke]
                                            supervised multi-tenant server under
                                            live fault injection (--smoke gates
-                                           on the accounting identity)
+                                           on the accounting identity;
+                                           --no-micro-reboot recovers by cold
+                                           restart only; --deadline-factor 0
+                                           disables the deadline shedder)
     regvault-cli fleet   [--instances N] [--requests N] [--rate CYCLES]
                          [--deadline CYCLES] [--chaos K] [--cold]
                          [--workers N] [--seed S] [--json] [--smoke]
@@ -1126,6 +1130,37 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn usage_lists_every_serve_fleet_and_leakage_flag() {
+        for (cmd, parser) in [
+            ("serve", include_str!("serve.rs")),
+            ("fleet", include_str!("fleet.rs")),
+            ("leakage", include_str!("leakage.rs")),
+        ] {
+            // Tokens of the `regvault-cli <cmd>` lines, up to the next command.
+            let (mut current, mut tokens) = ("", Vec::new());
+            for line in usage().lines() {
+                if let Some(rest) = line.trim().strip_prefix("regvault-cli ") {
+                    current = rest.split_whitespace().next().unwrap_or("");
+                }
+                if current == cmd {
+                    tokens.extend(line.split(|c: char| c.is_whitespace() || "[];".contains(c)));
+                }
+            }
+            // Every match arm of the parser: `"--flag" => ...`.
+            let flags: Vec<&str> = parser
+                .lines()
+                .filter_map(|line| line.trim().strip_prefix('"')?.split_once("\" =>"))
+                .map(|(flag, _)| flag)
+                .filter(|flag| flag.starts_with("--"))
+                .collect();
+            assert!(flags.len() >= 3, "{cmd}: parser arms not found");
+            for flag in flags {
+                assert!(tokens.contains(&flag), "usage() omits {cmd} {flag}");
+            }
+        }
+    }
 
     #[test]
     fn asm_lists_words_and_symbols() {

@@ -324,14 +324,7 @@ pub fn cmd_metrics(subject: &TraceSubject, json: bool) -> Result<String, CliErro
     let artifacts = execute(subject, Box::new(regvault_sim::NullTracer))?;
     let metrics = &artifacts.metrics;
     let clb = artifacts.clb;
-    let hits = metrics.get("clb_hits").unwrap_or(0);
-    let misses = metrics.get("clb_misses").unwrap_or(0);
-    let lookups = hits + misses;
-    let hit_rate = if lookups == 0 {
-        0.0
-    } else {
-        hits as f64 / lookups as f64
-    };
+    let hit_rate = clb.hit_ratio();
 
     if json {
         return Ok(metrics_json(&artifacts, hit_rate).render());
@@ -359,8 +352,10 @@ pub fn cmd_metrics(subject: &TraceSubject, json: bool) -> Result<String, CliErro
     }
     let _ = writeln!(
         out,
-        "CLB: {:.1}% hit rate ({hits} hits / {misses} misses), {} evictions",
+        "CLB: {:.1}% hit rate ({} hits / {} misses), {} evictions",
         hit_rate * 100.0,
+        clb.hits,
+        clb.misses,
         clb.evictions
     );
     let _ = writeln!(out, "outcome: {}", artifacts.outcome);

@@ -261,7 +261,7 @@ fn verify_rejects_contradictory_flag_combinations() {
 fn every_json_subcommand_prints_one_parseable_document() {
     let program = scratch("json_all.s", CRYPTO_PROGRAM);
     let file = program.to_str().unwrap();
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 10] = [
         (
             &["serve", "--smoke", "--json"],
             "accounting_holds=true latency.p99 tenants.0.state",
@@ -276,6 +276,15 @@ fn every_json_subcommand_prints_one_parseable_document() {
             concat!(
                 "counters.clb_hits counters.clb_misses counters.qarma_ops_ksel_a ",
                 "clb_hit_rate clb.hits clb.misses",
+            ),
+        ),
+        // The counter names perfbench reads (with a zero default, so a
+        // renamed counter would otherwise read as 0 rather than fail).
+        (
+            &["metrics", "--workload", "syscall", "--json"],
+            concat!(
+                "counters.sched_syscalls counters.sched_context_switches ",
+                "counters.key_invalidations counters.epoch_rekeys",
             ),
         ),
         (

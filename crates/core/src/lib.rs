@@ -39,9 +39,9 @@ pub mod hwcost;
 
 /// Typed counter/histogram metrics registry (re-export of
 /// [`regvault_metrics`]): named `Counter`/`Histogram` handles with a
-/// lock-free hot path, threaded through the machine simulator and the
-/// kernel scheduler. See `regvault_sim::Machine::metrics` for the live
-/// registry of a running machine.
+/// lock-free hot path, used by the kernel scheduler. See
+/// `regvault_sim::Machine::metrics_snapshot` for every metric of a
+/// running machine.
 pub use regvault_metrics as metrics;
 
 /// One-stop imports for examples and benches.

@@ -258,10 +258,29 @@ impl MetricsRegistry {
         self.counters[counter.0 as usize].1 += n;
     }
 
+    /// Adds `n` to the counter `name`, registering it first if needed. An
+    /// export-path convenience: hot paths update through a handle.
+    pub fn add_named(&mut self, name: &str, n: u64) {
+        let counter = self.counter(name);
+        self.add(counter, n);
+    }
+
     /// Records one observation into a histogram.
     #[inline]
     pub fn observe(&mut self, histogram: Histogram, value: u64) {
         self.histograms[histogram.0 as usize].1.record(value);
+    }
+
+    /// Folds every counter and histogram of `other` into this registry by
+    /// name; names this registry lacks are registered in `other`'s order.
+    pub fn merge(&mut self, other: &MetricsRegistry) {
+        for (name, value) in other.counters() {
+            self.add_named(name, value);
+        }
+        for (name, data) in other.histograms() {
+            let histogram = self.histogram(name);
+            self.histograms[histogram.0 as usize].1.merge(data);
+        }
     }
 
     /// Current value of `counter`.
@@ -434,6 +453,22 @@ mod tests {
         assert_eq!(r.histogram_data(h).count(), 0);
         r.inc(c); // handle still valid after reset
         assert_eq!(r.counter_value(c), 1);
+    }
+
+    #[test]
+    fn merge_appends_new_names_and_sums_shared_ones() {
+        let (mut src, mut dst) = (MetricsRegistry::new(), MetricsRegistry::new());
+        src.add_named("b", 2);
+        src.add_named("a", 5);
+        let h = src.histogram("lat");
+        src.observe(h, 9);
+        dst.add_named("a", 1);
+        dst.merge(&src);
+        assert_eq!(dst.counters().collect::<Vec<_>>(), [("a", 6), ("b", 2)]);
+        assert_eq!(
+            dst.histograms().next(),
+            Some(("lat", src.histogram_data(h)))
+        );
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl Default for FleetConfig {
 
 /// The deterministic half of a fleet run: identical for any worker count
 /// and any host, byte-for-byte, given the same [`FleetConfig`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetScenario {
     /// Instances run.
     pub instances: u64,
@@ -196,6 +196,26 @@ impl FleetScenario {
             return 0.0;
         }
         self.dirty_pages_total as f64 / self.instances as f64
+    }
+
+    /// Folds one instance's tallies into the fleet totals (`warm_pages` is
+    /// the fleet's own).
+    fn merge(&mut self, r: &FleetScenario) {
+        self.instances += r.instances;
+        self.offered += r.offered;
+        self.served += r.served;
+        self.failed += r.failed;
+        self.shed += r.shed;
+        self.kills += r.kills;
+        self.micro_restores += r.micro_restores;
+        self.cold_boots += r.cold_boots;
+        self.restore_mismatches += r.restore_mismatches;
+        self.steps += r.steps;
+        self.busy_cycles += r.busy_cycles;
+        self.latency.merge(&r.latency);
+        self.recovery_latency.merge(&r.recovery_latency);
+        self.dirty_pages_total += r.dirty_pages_total;
+        self.dirty_pages_max = self.dirty_pages_max.max(r.dirty_pages_max);
     }
 }
 
@@ -259,24 +279,6 @@ impl FleetReport {
     }
 }
 
-/// Per-instance result, merged positionally.
-#[derive(Debug, Clone)]
-struct InstanceReport {
-    served: u64,
-    failed: u64,
-    shed: u64,
-    kills: u64,
-    micro_restores: u64,
-    cold_boots: u64,
-    restore_mismatches: u64,
-    steps: u64,
-    clock: u64,
-    latency: HistogramData,
-    recovery_latency: HistogramData,
-    dirty_pages: u64,
-    fork_nanos: u64,
-}
-
 /// The warm snapshot crosses the scope boundary by shared reference, so
 /// this is load-bearing for the work-stealing pool below.
 const fn assert_sync<T: Sync>() {}
@@ -328,8 +330,10 @@ fn boot_instance(seed: u64) -> Machine {
 }
 
 /// Serves one instance's full request stream, including its chaos
-/// schedule. Deterministic given (`cfg`, `index`, the warm snapshot).
-fn run_instance(index: usize, cfg: &FleetConfig, warm: &Snapshot) -> InstanceReport {
+/// schedule, and returns its tallies plus the host nanoseconds its fork
+/// took. The tallies are deterministic given (`cfg`, `index`, the warm
+/// snapshot).
+fn run_instance(index: usize, cfg: &FleetConfig, warm: &Snapshot) -> (FleetScenario, u64) {
     let mut rng = StdRng::seed_from_u64(
         cfg.seed ^ FLEET_SEED_MIX ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     );
@@ -338,20 +342,10 @@ fn run_instance(index: usize, cfg: &FleetConfig, warm: &Snapshot) -> InstanceRep
     let mut machine = Machine::fork_from(warm).expect("fork from warm snapshot");
     let fork_nanos = u64::try_from(fork_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
-    let mut r = InstanceReport {
-        served: 0,
-        failed: 0,
-        shed: 0,
-        kills: 0,
-        micro_restores: 0,
-        cold_boots: 0,
-        restore_mismatches: 0,
-        steps: 0,
-        clock: 0,
-        latency: HistogramData::default(),
-        recovery_latency: HistogramData::default(),
-        dirty_pages: 0,
-        fork_nanos,
+    let mut r = FleetScenario {
+        instances: 1,
+        offered: cfg.requests_per_instance,
+        ..FleetScenario::default()
     };
 
     let mut arrival = 0u64;
@@ -365,7 +359,7 @@ fn run_instance(index: usize, cfg: &FleetConfig, warm: &Snapshot) -> InstanceRep
 
         // Open loop: the instance serves one request at a time, so an
         // arrival queues until the instance's virtual clock catches up.
-        let start = r.clock.max(arrival);
+        let start = r.busy_cycles.max(arrival);
         let wait = start - arrival;
         if cfg.deadline > 0 && wait > cfg.deadline {
             // Shed before service; the clock does not advance.
@@ -407,7 +401,7 @@ fn run_instance(index: usize, cfg: &FleetConfig, warm: &Snapshot) -> InstanceRep
                 COLD_BOOT_CYCLES
             };
             r.recovery_latency.record(penalty);
-            r.clock = start + penalty;
+            r.busy_cycles = start + penalty;
             continue;
         }
 
@@ -419,7 +413,7 @@ fn run_instance(index: usize, cfg: &FleetConfig, warm: &Snapshot) -> InstanceRep
         let outcome = machine.run_until_break(STEP_BUDGET);
         let service = machine.stats().cycles - cycles_before;
         r.steps += machine.stats().instret - steps_before;
-        r.clock = start + service;
+        r.busy_cycles = start + service;
 
         let expected = payload + (LOOP_ITERS - 1);
         if outcome.is_ok() && machine.hart().reg(Reg::A1) == expected {
@@ -430,8 +424,9 @@ fn run_instance(index: usize, cfg: &FleetConfig, warm: &Snapshot) -> InstanceRep
         }
     }
 
-    r.dirty_pages = machine.cow_dirty_pages(warm) as u64;
-    r
+    r.dirty_pages_total = machine.cow_dirty_pages(warm) as u64;
+    r.dirty_pages_max = r.dirty_pages_total;
+    (r, fork_nanos)
 }
 
 /// Runs the fleet: warm-boot once, fork `instances` machines, drive them
@@ -459,7 +454,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     // Work-stealing pool with positional merge: workers race for the next
     // instance index, results land in index-ordered slots, so the merge
     // below is independent of scheduling.
-    let slots: Vec<Mutex<Option<InstanceReport>>> =
+    let slots: Vec<Mutex<Option<(FleetScenario, u64)>>> =
         (0..cfg.instances).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let run_start = Instant::now();
@@ -478,44 +473,18 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let run_nanos = u64::try_from(run_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
     let mut scenario = FleetScenario {
-        instances: cfg.instances as u64,
-        offered: cfg.instances as u64 * cfg.requests_per_instance,
-        served: 0,
-        failed: 0,
-        shed: 0,
-        kills: 0,
-        micro_restores: 0,
-        cold_boots: 0,
-        restore_mismatches: 0,
-        steps: 0,
-        busy_cycles: 0,
-        latency: HistogramData::default(),
-        recovery_latency: HistogramData::default(),
         warm_pages: warm.page_count() as u64,
-        dirty_pages_total: 0,
-        dirty_pages_max: 0,
+        ..FleetScenario::default()
     };
     let mut fork_nanos_total = 0u64;
     for slot in &slots {
-        let r = slot
+        let (r, fork_nanos) = slot
             .lock()
             .expect("slot lock")
             .take()
             .expect("every instance reported");
-        scenario.served += r.served;
-        scenario.failed += r.failed;
-        scenario.shed += r.shed;
-        scenario.kills += r.kills;
-        scenario.micro_restores += r.micro_restores;
-        scenario.cold_boots += r.cold_boots;
-        scenario.restore_mismatches += r.restore_mismatches;
-        scenario.steps += r.steps;
-        scenario.busy_cycles += r.clock;
-        scenario.latency.merge(&r.latency);
-        scenario.recovery_latency.merge(&r.recovery_latency);
-        scenario.dirty_pages_total += r.dirty_pages;
-        scenario.dirty_pages_max = scenario.dirty_pages_max.max(r.dirty_pages);
-        fork_nanos_total = fork_nanos_total.saturating_add(r.fork_nanos);
+        scenario.merge(&r);
+        fork_nanos_total = fork_nanos_total.saturating_add(fork_nanos);
     }
     assert!(
         scenario.accounting_holds(),

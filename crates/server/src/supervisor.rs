@@ -38,7 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use regvault_kernel::cred::{EGID_OFFSET, EUID_OFFSET, GID_OFFSET, UID_OFFSET};
 use regvault_kernel::{Kernel, KernelConfig, KernelError, ProtectionConfig, Sysno};
-use regvault_metrics::{Counter, Histogram, HistogramData, MetricsRegistry};
+use regvault_metrics::HistogramData;
 use regvault_sim::{FaultKind, FaultPlan, InsnClass};
 
 use crate::loadgen::{Arrival, LoadGen, LoadGenConfig};
@@ -300,23 +300,16 @@ pub struct Supervisor {
     cycle_base: u64,
     /// Measured cycles per charged ALU op (cost model dependent).
     alu_cost: u64,
-    // Supervisor-owned metrics: they survive kernel cold restarts.
-    metrics: MetricsRegistry,
-    c_served: Counter,
-    c_failed: Counter,
-    c_shed: Counter,
-    c_shed_breaker: Counter,
-    c_shed_queue: Counter,
-    c_shed_deadline: Counter,
-    c_faults: Counter,
-    c_recoveries: Counter,
-    c_respawns: Counter,
-    c_respawns_denied: Counter,
-    c_frontend_respawns: Counter,
-    c_cold_restarts: Counter,
-    c_micro_reboots: Counter,
-    c_micro_mismatch: Counter,
-    h_latency: Histogram,
+    // Supervisor-owned tallies: they survive kernel cold restarts. Served,
+    // failed, shed and respawn counts are kept per tenant.
+    shed_deadline: u64,
+    faults_injected: u64,
+    recoveries: u64,
+    frontend_respawns: u64,
+    cold_restarts: u64,
+    micro_reboots: u64,
+    micro_reboot_mismatches: u64,
+    latency: HistogramData,
     rr_cursor: usize,
     /// Fail-overs since the last successfully served request; crossing
     /// [`ServeConfig::escalate_failovers`] forces a restart (micro or cold).
@@ -355,22 +348,6 @@ impl Supervisor {
             },
             0,
         );
-        let mut metrics = MetricsRegistry::new();
-        let c_served = metrics.counter("serve_served");
-        let c_failed = metrics.counter("serve_failed");
-        let c_shed = metrics.counter("serve_shed");
-        let c_shed_breaker = metrics.counter("serve_shed_breaker");
-        let c_shed_queue = metrics.counter("serve_shed_queue_full");
-        let c_shed_deadline = metrics.counter("serve_shed_deadline");
-        let c_faults = metrics.counter("serve_faults_injected");
-        let c_recoveries = metrics.counter("serve_recoveries");
-        let c_respawns = metrics.counter("serve_respawns");
-        let c_respawns_denied = metrics.counter("serve_respawns_denied");
-        let c_frontend_respawns = metrics.counter("serve_frontend_respawns");
-        let c_cold_restarts = metrics.counter("serve_cold_restarts");
-        let c_micro_reboots = metrics.counter("serve_micro_reboots");
-        let c_micro_mismatch = metrics.counter("serve_micro_reboot_mismatches");
-        let h_latency = metrics.histogram("serve_latency_cycles");
         Ok(Self {
             tenants: (0..cfg.tenants)
                 .map(|s| Tenant::new(s, &cfg.policy))
@@ -384,22 +361,14 @@ impl Supervisor {
             loadgen,
             fault_rng: StdRng::seed_from_u64(cfg.seed ^ Self::FAULT_SEED_MIX),
             cfg,
-            metrics,
-            c_served,
-            c_failed,
-            c_shed,
-            c_shed_breaker,
-            c_shed_queue,
-            c_shed_deadline,
-            c_faults,
-            c_recoveries,
-            c_respawns,
-            c_respawns_denied,
-            c_frontend_respawns,
-            c_cold_restarts,
-            c_micro_reboots,
-            c_micro_mismatch,
-            h_latency,
+            shed_deadline: 0,
+            faults_injected: 0,
+            recoveries: 0,
+            frontend_respawns: 0,
+            cold_restarts: 0,
+            micro_reboots: 0,
+            micro_reboot_mismatches: 0,
+            latency: HistogramData::default(),
             rr_cursor: 0,
             failover_streak: 0,
             micro_streak: 0,
@@ -422,12 +391,6 @@ impl Supervisor {
     /// Monotone virtual clock: survives cold restarts via `cycle_base`.
     fn now(&self) -> u64 {
         self.cycle_base + self.kernel.machine().stats().cycles
-    }
-
-    /// The supervisor's metrics registry (counters + latency histogram).
-    #[must_use]
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Mutable access to the supervised kernel — the pre-run
@@ -508,7 +471,6 @@ impl Supervisor {
                 self.tenants[slot].state = TenantState::Serving;
             } else {
                 self.tenants[slot].on_respawned(&self.cfg.policy, tid);
-                self.metrics.inc(self.c_respawns);
             }
         }
 
@@ -569,10 +531,10 @@ impl Supervisor {
         // isolation makes silent drift impossible by construction, so a
         // mismatch means the image itself is damaged — never restore it.
         if kernel.machine().arch_digest() != digest {
-            self.metrics.inc(self.c_micro_mismatch);
+            self.micro_reboot_mismatches += 1;
             return false;
         }
-        self.metrics.inc(self.c_micro_reboots);
+        self.micro_reboots += 1;
         self.micro_streak += 1;
         self.failover_streak = 0;
         // Keep the virtual clock monotone: after the swap, `now()` lands
@@ -592,7 +554,6 @@ impl Supervisor {
             match *warm_tid {
                 Some(tid) => {
                     self.tenants[slot].on_respawned(&self.cfg.policy, tid);
-                    self.metrics.inc(self.c_respawns);
                 }
                 None => {
                     self.slots[slot] = None;
@@ -607,14 +568,13 @@ impl Supervisor {
     /// Total-loss path: reboot the kernel (fresh machine, fresh master
     /// key), charge a realistic downtime penalty to the virtual clock, and
     /// re-provision every non-terminal tenant. Host-side state — queues,
-    /// tenant accounting, metrics — survives.
+    /// tenant accounting, tallies — survives.
     fn cold_restart(&mut self) {
-        self.metrics.inc(self.c_cold_restarts);
+        self.cold_restarts += 1;
         self.failover_streak = 0;
         self.micro_streak = 0;
-        let restarts = self.metrics.counter_value(self.c_cold_restarts);
         self.cycle_base = self.now() + COLD_RESTART_PENALTY;
-        match Self::boot_kernel(&self.cfg, restarts) {
+        match Self::boot_kernel(&self.cfg, self.cold_restarts) {
             Ok(kernel) => self.kernel = kernel,
             Err(_) => {
                 self.fatal = true;
@@ -666,7 +626,7 @@ impl Supervisor {
                 .machine_mut()
                 .clear_fault_plan()
                 .map_or(0, |p| p.applied().len() as u64);
-            self.metrics.add(self.c_faults, applied);
+            self.faults_injected += applied;
             self.arm_fault();
         } else if self.kernel.machine().fault_plan().is_none() {
             self.arm_fault();
@@ -727,29 +687,21 @@ impl Supervisor {
     fn route(&mut self, arr: Arrival) {
         let slot = (arr.request.tenant as usize).min(self.cfg.tenants - 1);
         let breaker_open = matches!(self.tenants[slot].state, TenantState::BreakerOpen { .. });
-        if breaker_open {
-            self.shed_one(slot, true);
-        } else if self.queues[slot].len() >= self.cfg.queue_cap {
-            self.shed_one(slot, false);
+        if breaker_open || self.queues[slot].len() >= self.cfg.queue_cap {
+            self.shed_one(slot);
         } else {
             self.queues[slot].push_back(arr);
         }
     }
 
-    fn shed_one(&mut self, slot: usize, breaker: bool) {
-        self.metrics.inc(self.c_shed);
-        self.metrics.inc(if breaker {
-            self.c_shed_breaker
-        } else {
-            self.c_shed_queue
-        });
+    fn shed_one(&mut self, slot: usize) {
         self.tenants[slot].shed = self.tenants[slot].shed.saturating_add(1);
     }
 
     /// Sheds a slot's whole queue (called when its breaker opens).
     fn shed_queue(&mut self, slot: usize) {
         while self.queues[slot].pop_front().is_some() {
-            self.shed_one(slot, true);
+            self.shed_one(slot);
         }
     }
 
@@ -774,21 +726,14 @@ impl Supervisor {
         if self.cfg.deadline_factor == 0 {
             return None;
         }
-        let h = self.metrics.histogram_data(self.h_latency);
-        if h.count() < DEADLINE_MIN_SAMPLES {
+        if self.latency.count() < DEADLINE_MIN_SAMPLES {
             return None;
         }
-        let p99 = h.quantile(0.99)?;
+        let p99 = self.latency.quantile(0.99)?;
         Some(
             p99.saturating_mul(self.cfg.deadline_factor)
                 .max(self.cfg.deadline_floor),
         )
-    }
-
-    fn shed_expired(&mut self, slot: usize) {
-        self.metrics.inc(self.c_shed);
-        self.metrics.inc(self.c_shed_deadline);
-        self.tenants[slot].shed = self.tenants[slot].shed.saturating_add(1);
     }
 
     /// Serves the first still-viable request in `slot`'s queue and
@@ -803,7 +748,8 @@ impl Supervisor {
                 .deadline_budget()
                 .is_some_and(|budget| self.now().saturating_sub(arr.at) > budget);
             if expired {
-                self.shed_expired(slot);
+                self.shed_deadline += 1;
+                self.shed_one(slot);
                 continue;
             }
             break arr;
@@ -811,8 +757,7 @@ impl Supervisor {
         match self.try_process(slot, &arr) {
             Ok(true) => {
                 let lat = self.now().saturating_sub(arr.at);
-                self.metrics.observe(self.h_latency, lat);
-                self.metrics.inc(self.c_served);
+                self.latency.record(lat);
                 self.tenants[slot].on_success(&self.cfg.policy);
                 self.failover_streak = 0;
                 self.micro_streak = 0;
@@ -836,7 +781,6 @@ impl Supervisor {
     }
 
     fn fail_one(&mut self, slot: usize) {
-        self.metrics.inc(self.c_failed);
         self.tenants[slot].failed = self.tenants[slot].failed.saturating_add(1);
     }
 
@@ -1030,7 +974,7 @@ impl Supervisor {
         }
         match self.kernel.fail_over() {
             Ok(fo) => {
-                self.metrics.inc(self.c_recoveries);
+                self.recoveries += 1;
                 let mut frontend_lost = false;
                 for tid in &fo.quarantined {
                     if *tid == self.frontend_tid {
@@ -1047,12 +991,12 @@ impl Supervisor {
                     // otherwise spawn a dedicated replacement.
                     if self.slot_by_tid(fo.current).is_none() {
                         self.frontend_tid = fo.current;
-                        self.metrics.inc(self.c_frontend_respawns);
+                        self.frontend_respawns += 1;
                     } else {
                         match self.kernel.spawn_service_thread() {
                             Ok(tid) => {
                                 self.frontend_tid = tid;
-                                self.metrics.inc(self.c_frontend_respawns);
+                                self.frontend_respawns += 1;
                             }
                             Err(_) => self.restart_tenancy(),
                         }
@@ -1080,21 +1024,16 @@ impl Supervisor {
             match self.kernel.spawn_service_thread() {
                 Ok(tid) => {
                     self.tenants[slot].on_respawned(&self.cfg.policy, tid);
-                    self.metrics.inc(self.c_respawns);
                     self.drain_slot_safe(slot);
-                }
-                Err(KernelError::ThreadTableFull) => {
-                    // The typed degradation event: back off and retry
-                    // rather than treating exhaustion as a tenant fault.
-                    self.tenants[slot].on_respawn_denied(&self.cfg.policy, now);
-                    self.metrics.inc(self.c_respawns_denied);
                 }
                 Err(e) if is_fatal(&e) => {
                     self.handle_fault();
                 }
                 Err(_) => {
+                    // `ThreadTableFull` is the typed degradation event: back
+                    // off and retry rather than treating exhaustion (or any
+                    // other non-fatal error) as a tenant fault.
                     self.tenants[slot].on_respawn_denied(&self.cfg.policy, now);
-                    self.metrics.inc(self.c_respawns_denied);
                 }
             }
         }
@@ -1204,29 +1143,25 @@ impl Supervisor {
         }
 
         let cycles = self.now().saturating_sub(start);
-        let v = |c: Counter| self.metrics.counter_value(c);
+        let sum = |f: fn(&Tenant) -> u64| self.tenants.iter().map(f).sum();
         ServeReport {
             offered: self.loadgen.issued(),
-            served: v(self.c_served),
-            failed: v(self.c_failed),
-            shed: v(self.c_shed),
-            shed_deadline: v(self.c_shed_deadline),
-            faults_injected: v(self.c_faults),
-            recoveries: v(self.c_recoveries),
-            respawns: v(self.c_respawns),
-            respawns_denied: v(self.c_respawns_denied),
-            frontend_respawns: v(self.c_frontend_respawns),
-            cold_restarts: v(self.c_cold_restarts),
-            micro_reboots: v(self.c_micro_reboots),
-            micro_reboot_mismatches: v(self.c_micro_mismatch),
-            breaker_opens: self
-                .tenants
-                .iter()
-                .map(|t| u64::from(t.breaker_opens))
-                .sum(),
+            served: sum(|t| t.served),
+            failed: sum(|t| t.failed),
+            shed: sum(|t| t.shed),
+            shed_deadline: self.shed_deadline,
+            faults_injected: self.faults_injected,
+            recoveries: self.recoveries,
+            respawns: sum(|t| t.respawns),
+            respawns_denied: sum(|t| t.respawns_denied),
+            frontend_respawns: self.frontend_respawns,
+            cold_restarts: self.cold_restarts,
+            micro_reboots: self.micro_reboots,
+            micro_reboot_mismatches: self.micro_reboot_mismatches,
+            breaker_opens: sum(|t| u64::from(t.breaker_opens)),
             terminal_tenants: self.tenants.iter().filter(|t| t.is_terminal()).count(),
             cycles,
-            latency: self.metrics.histogram_data(self.h_latency).clone(),
+            latency: self.latency.clone(),
             tenants: self
                 .tenants
                 .iter()

@@ -373,48 +373,38 @@ impl Clb {
 
     /// Looks up a cached ciphertext for `(ksel, tweak, plaintext)`.
     pub fn lookup_encrypt(&mut self, ksel: u8, tweak: u64, plaintext: u64) -> Option<u64> {
-        if let Some(naive) = &mut self.naive {
-            let found = naive.lookup(ksel, tweak, plaintext, false);
-            match found {
-                Some(_) => self.stats.hits += 1,
-                None => self.stats.misses += 1,
-            }
-            return found;
-        }
-        match self.by_pt.get(&(ksel, tweak, plaintext)) {
-            Some(&slot) => {
-                self.stats.hits += 1;
-                self.touch(slot);
-                Some(self.slots[slot as usize].ciphertext)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        self.lookup(ksel, tweak, plaintext, false)
     }
 
     /// Looks up a cached plaintext for `(ksel, tweak, ciphertext)`.
     pub fn lookup_decrypt(&mut self, ksel: u8, tweak: u64, ciphertext: u64) -> Option<u64> {
-        if let Some(naive) = &mut self.naive {
-            let found = naive.lookup(ksel, tweak, ciphertext, true);
-            match found {
-                Some(_) => self.stats.hits += 1,
-                None => self.stats.misses += 1,
-            }
-            return found;
-        }
-        match self.by_ct.get(&(ksel, tweak, ciphertext)) {
-            Some(&slot) => {
-                self.stats.hits += 1;
-                self.touch(slot);
-                Some(self.slots[slot as usize].plaintext)
-            }
+        self.lookup(ksel, tweak, ciphertext, true)
+    }
+
+    /// One lookup in either direction, counted once as a hit or a miss.
+    #[inline]
+    fn lookup(&mut self, ksel: u8, tweak: u64, value: u64, by_ct: bool) -> Option<u64> {
+        let found = match &mut self.naive {
+            Some(naive) => naive.lookup(ksel, tweak, value, by_ct),
             None => {
-                self.stats.misses += 1;
-                None
+                let index = if by_ct { &self.by_ct } else { &self.by_pt };
+                index.get(&(ksel, tweak, value)).copied().map(|slot| {
+                    self.touch(slot);
+                    let s = self.slots[slot as usize];
+                    if by_ct {
+                        s.plaintext
+                    } else {
+                        s.ciphertext
+                    }
+                })
             }
+        };
+        if found.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
         }
+        found
     }
 
     /// Inserts a freshly computed result, evicting the LRU entry if full.

@@ -202,6 +202,12 @@ pub struct CryptoEngine {
     /// [`CryptoEngine::set_epoch`] rewind a slot's epoch but not the
     /// counter, so the next issue is still fresh machine-wide.
     nonce_ctr: u64,
+    /// QARMA block computations by `ksel`: one per CLB miss.
+    qarma_ops: [u64; 8],
+    /// Software key writes, each invalidating its `ksel`'s CLB entries.
+    key_writes: u64,
+    /// Fresh rekey epochs issued.
+    epoch_rekeys: u64,
 }
 
 impl CryptoEngine {
@@ -216,6 +222,9 @@ impl CryptoEngine {
             reference: false,
             epochs: [0; 8],
             nonce_ctr: 0,
+            qarma_ops: [0; 8],
+            key_writes: 0,
+            epoch_rekeys: 0,
         }
     }
 
@@ -227,12 +236,9 @@ impl CryptoEngine {
     #[must_use]
     pub fn new_reference(clb_entries: usize, seed: u64) -> Self {
         Self {
-            keys: KeyRegFile::new(seed),
             clb: Clb::new_reference(clb_entries),
-            ciphers: Default::default(),
             reference: true,
-            epochs: [0; 8],
-            nonce_ctr: 0,
+            ..Self::new(0, seed)
         }
     }
 
@@ -267,6 +273,34 @@ impl CryptoEngine {
         &mut self.clb
     }
 
+    /// QARMA block computations so far, indexed by `ksel`.
+    #[must_use]
+    pub fn qarma_ops(&self) -> [u64; 8] {
+        self.qarma_ops
+    }
+
+    /// Software key writes so far ([`CryptoEngine::write_key`] and
+    /// [`CryptoEngine::write_key_half`]).
+    #[must_use]
+    pub fn key_writes(&self) -> u64 {
+        self.key_writes
+    }
+
+    /// Rekey epochs issued so far ([`CryptoEngine::issue_epoch`]).
+    #[must_use]
+    pub fn epoch_rekeys(&self) -> u64 {
+        self.epoch_rekeys
+    }
+
+    /// Zeroes the engine's tallies and the CLB's statistics; keys, epochs
+    /// and CLB contents are kept.
+    pub fn reset_stats(&mut self) {
+        self.qarma_ops = [0; 8];
+        self.key_writes = 0;
+        self.epoch_rekeys = 0;
+        self.clb.reset_stats();
+    }
+
     /// Software-visible key update: replaces one 64-bit half of a key
     /// register and invalidates the stale CLB entries for that `ksel`.
     pub fn write_key_half(&mut self, key: KeyReg, high_half: bool, value: u64) {
@@ -275,12 +309,14 @@ impl CryptoEngine {
         } else {
             self.keys.set_lo(key, value);
         }
+        self.key_writes += 1;
         self.clb.invalidate_ksel(key.ksel());
     }
 
     /// Software-visible whole-key update (both halves, one invalidation).
     pub fn write_key(&mut self, key: KeyReg, value: Key) {
         self.keys.set_key(key, value);
+        self.key_writes += 1;
         self.clb.invalidate_ksel(key.ksel());
     }
 
@@ -293,6 +329,7 @@ impl CryptoEngine {
     /// entries created under older epochs remain valid mappings that the
     /// matching [`CryptoEngine::set_epoch`] restore can hit again.
     pub fn issue_epoch(&mut self, key: KeyReg) -> u64 {
+        self.epoch_rekeys += 1;
         self.nonce_ctr += 1;
         self.epochs[key.ksel() as usize] = self.nonce_ctr;
         self.nonce_ctr
@@ -343,6 +380,7 @@ impl CryptoEngine {
     /// on every call — deliberately no schedule caching, so stale-schedule
     /// bugs in the fast path cannot be masked by an equivalent cache here.
     fn compute(&mut self, key: KeyReg, tweak: u64, input: u64, decrypt: bool) -> u64 {
+        self.qarma_ops[key.ksel() as usize] += 1;
         if self.reference {
             let cipher = Reference::new(self.keys.key(key));
             return if decrypt {

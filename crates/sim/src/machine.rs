@@ -1,10 +1,11 @@
 //! The complete simulated machine: hart + memory + crypto-engine + clock.
 
 use regvault_isa::{ByteRange, KeyReg};
-use regvault_metrics::{Counter, MetricsRegistry};
+use regvault_metrics::MetricsRegistry;
 use regvault_qarma::Key;
 
 use crate::{
+    clb::ClbStats,
     cost::CostModel,
     engine::{CryptoEngine, CryptoResult, IntegrityError, Watchdog},
     error::{ExceptionCause, SimError},
@@ -118,8 +119,9 @@ pub struct Machine {
     pub(crate) timer_interval: Option<u64>,
     pub(crate) next_timer: u64,
     pub(crate) tracer: Option<Box<dyn Tracer>>,
+    /// Embedder-registered metrics only (the kernel's `sched_*` counters
+    /// and histograms); [`Machine::metrics_snapshot`] adds the simulator's.
     pub(crate) metrics: MetricsRegistry,
-    pub(crate) hot: SimCounters,
     pub(crate) fault_plan: Option<FaultPlan>,
     pub(crate) watchdog: Option<Watchdog>,
     /// When recording, every applied fault is also appended here with its
@@ -154,35 +156,6 @@ pub struct Machine {
 const fn assert_send<T: Send>() {}
 const _: () = assert_send::<Machine>();
 
-/// Pre-registered metric handles for the simulator's hot paths. Updating a
-/// metric through a handle is one indexed add — no name lookup ever happens
-/// while the machine runs.
-#[derive(Debug, Clone)]
-pub(crate) struct SimCounters {
-    pub(crate) clb_hits: Counter,
-    pub(crate) clb_misses: Counter,
-    pub(crate) key_invalidations: Counter,
-    /// QARMA block computations by key selector (`m`, `a`..`g`).
-    pub(crate) qarma_ops: [Counter; 8],
-    /// Fresh rekey epochs issued ([`Machine::issue_key_epoch`]).
-    pub(crate) epoch_rekeys: Counter,
-}
-
-impl SimCounters {
-    fn register(metrics: &mut MetricsRegistry) -> Self {
-        Self {
-            clb_hits: metrics.counter("clb_hits"),
-            clb_misses: metrics.counter("clb_misses"),
-            key_invalidations: metrics.counter("key_invalidations"),
-            qarma_ops: std::array::from_fn(|ksel| {
-                let key = KeyReg::from_ksel(ksel as u8).expect("ksel < 8");
-                metrics.counter(&format!("qarma_ops_ksel_{}", key.name()))
-            }),
-            epoch_rekeys: metrics.counter("epoch_rekeys"),
-        }
-    }
-}
-
 impl Machine {
     /// Builds a machine from `config`.
     #[must_use]
@@ -192,8 +165,6 @@ impl Machine {
         } else {
             CryptoEngine::new(config.clb_entries, config.seed)
         };
-        let mut metrics = MetricsRegistry::new();
-        let hot = SimCounters::register(&mut metrics);
         Self {
             hart: Hart::new(),
             mem: Memory::new(),
@@ -205,8 +176,7 @@ impl Machine {
             timer_interval: config.timer_interval,
             next_timer: config.timer_interval.unwrap_or(u64::MAX),
             tracer: None,
-            metrics,
-            hot,
+            metrics: MetricsRegistry::new(),
             fault_plan: None,
             watchdog: None,
             recorder: None,
@@ -293,29 +263,30 @@ impl Machine {
 
     // --- Metrics --------------------------------------------------------
 
-    /// The live metrics registry. Hot counters (`clb_hits`, `clb_misses`,
-    /// per-ksel `qarma_ops_ksel_*`, `key_invalidations`) are maintained by
-    /// the machine; embedders (the kernel scheduler) register and update
-    /// their own metrics through [`Machine::metrics_mut`].
-    #[must_use]
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Mutable registry access for embedders registering their own metrics.
+    /// Registry access for embedders (the kernel scheduler) registering and
+    /// updating their own metrics. The simulator keeps none here.
     pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
         &mut self.metrics
     }
 
-    /// A point-in-time export of every metric: the live registry plus
-    /// counters derived from [`Stats`] and the CLB (`cycles`, `instret`,
-    /// `crypto_encrypts`, `clb_evictions`, ...), so one snapshot carries
-    /// the complete picture.
+    /// A point-in-time export of every metric, built from the structs that
+    /// own each count: the CLB and engine tallies ([`ClbStats`],
+    /// [`CryptoEngine`]), then the embedder's registered metrics, then
+    /// counters derived from [`Stats`], the CLB and the superblock tier.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
-        let mut out = self.metrics.clone();
         let clb = self.engine.clb().stats();
-        let sb = self.sb.stats();
+        let sb = self.sb.stats;
+        let mut out = MetricsRegistry::new();
+        out.add_named("clb_hits", clb.hits);
+        out.add_named("clb_misses", clb.misses);
+        out.add_named("key_invalidations", self.engine.key_writes());
+        for (ksel, ops) in self.engine.qarma_ops().into_iter().enumerate() {
+            let key = KeyReg::from_ksel(ksel as u8).expect("ksel < 8");
+            out.add_named(&format!("qarma_ops_ksel_{}", key.name()), ops);
+        }
+        out.add_named("epoch_rekeys", self.engine.epoch_rekeys());
+        out.merge(&self.metrics);
         for (name, value) in [
             ("cycles", self.stats.cycles),
             ("instret", self.stats.instret),
@@ -334,10 +305,9 @@ impl Machine {
             ("superblock_side_exits", sb.side_exits),
             ("superblock_built", sb.built),
             ("superblock_invalidations", sb.invalidations),
-            ("superblock_cached", sb.cached as u64),
+            ("superblock_cached", self.sb.blocks.len() as u64),
         ] {
-            let handle = out.counter(name);
-            out.add(handle, value);
+            out.add_named(name, value);
         }
         out
     }
@@ -382,16 +352,17 @@ impl Machine {
         &self.stats
     }
 
-    /// Resets cycle/instruction statistics and metric values (memory,
-    /// registers and metric handles are kept).
+    /// Zeroes every counter the machine exports — [`Stats`], the engine
+    /// and CLB tallies, the superblock tier's counters — and the embedder's
+    /// metric values (memory, registers and metric handles are kept).
     pub fn reset_stats(&mut self) {
         self.stats = Stats::default();
-        self.engine.clb_mut().reset_stats();
+        self.engine.reset_stats();
         self.metrics.reset_values();
         self.next_timer = self.timer_interval.unwrap_or(u64::MAX);
         // Zero the tier's counters but keep its translated traces warm —
         // reset_stats separates measurement epochs, it doesn't cool caches.
-        self.sb.reset_counters();
+        self.sb.stats = SuperblockStats::default();
     }
 
     /// The active cost model.
@@ -418,19 +389,17 @@ impl Machine {
             ));
         }
         self.engine.write_key(key, Key::new(w0, k0));
-        self.metrics.inc(self.hot.key_invalidations);
         self.emit_trace(|| TraceEvent::ClbInvalidate { ksel: key.ksel() });
         self.stats.retire(InsnClass::Csr, self.cost.alu);
         self.stats.retire(InsnClass::Csr, self.cost.alu);
         Ok(())
     }
 
-    /// Writes one half of a key register through the engine, counting and
-    /// tracing the CLB invalidation it triggers (the guest `csrw` datapath;
-    /// privilege is checked by the executor).
+    /// Writes one half of a key register through the engine, tracing the
+    /// CLB invalidation it triggers (the guest `csrw` datapath; privilege
+    /// is checked by the executor).
     pub(crate) fn write_key_half_traced(&mut self, key: KeyReg, high_half: bool, value: u64) {
         self.engine.write_key_half(key, high_half, value);
-        self.metrics.inc(self.hot.key_invalidations);
         self.emit_trace(|| TraceEvent::ClbInvalidate { ksel: key.ksel() });
     }
 
@@ -442,11 +411,9 @@ impl Machine {
         self.epoch_rekey
     }
 
-    /// Issues a fresh rekey epoch for `key` and returns it, counting the
-    /// rekey in the `epoch_rekeys` metric. See
+    /// Issues a fresh rekey epoch for `key` and returns it. See
     /// [`CryptoEngine::issue_epoch`].
     pub fn issue_key_epoch(&mut self, key: KeyReg) -> u64 {
-        self.metrics.inc(self.hot.epoch_rekeys);
         self.engine.issue_epoch(key)
     }
 
@@ -456,10 +423,9 @@ impl Machine {
         self.engine.set_epoch(key, epoch);
     }
 
-    /// Central encrypt datapath: runs the engine, maintains the hot
-    /// counters, and emits CLB/QARMA trace events when tracing is on. Both
-    /// the guest `cre` executor and [`Machine::kernel_encrypt`] route
-    /// through here so metrics and traces agree with [`ClbStats`].
+    /// Central encrypt datapath: runs the engine and, when tracing is on,
+    /// emits its CLB/QARMA events. Both the guest `cre` executor and
+    /// [`Machine::kernel_encrypt`] route through here.
     #[inline]
     pub(crate) fn engine_encrypt(
         &mut self,
@@ -468,45 +434,16 @@ impl Machine {
         value: u64,
         range: ByteRange,
     ) -> CryptoResult {
-        let evictions_before = if self.tracer.is_some() {
-            self.engine.clb().stats().evictions
-        } else {
-            0
-        };
-        let result = self.engine.encrypt(key, tweak, value, range);
-        let ksel = key.ksel();
-        if result.clb_hit {
-            self.metrics.inc(self.hot.clb_hits);
-            self.emit_trace(|| TraceEvent::ClbHit {
-                ksel,
-                decrypt: false,
-            });
-        } else {
-            self.metrics.inc(self.hot.clb_misses);
-            self.metrics.inc(self.hot.qarma_ops[ksel as usize]);
-            if self.tracer.is_some() {
-                self.trace_emit(TraceEvent::ClbMiss {
-                    ksel,
-                    decrypt: false,
-                });
-                // Report the effective (epoch-folded) tweak — the value the
-                // cipher actually consumed.
-                self.trace_emit(TraceEvent::QarmaOp {
-                    ksel,
-                    tweak: self.engine.effective_tweak(key, tweak),
-                    decrypt: false,
-                });
-                if self.engine.clb().stats().evictions > evictions_before {
-                    self.trace_emit(TraceEvent::ClbEvict { ksel });
-                }
-            }
+        if self.tracer.is_none() {
+            return self.engine.encrypt(key, tweak, value, range);
         }
+        let before = self.engine.clb().stats();
+        let result = self.engine.encrypt(key, tweak, value, range);
+        self.trace_crypto(key, tweak, false, before);
         result
     }
 
-    /// Central decrypt datapath; see [`Machine::engine_encrypt`]. The error
-    /// path carries no hit flag, so hit/miss classification falls back to
-    /// the CLB hit-counter delta.
+    /// Central decrypt datapath; see [`Machine::engine_encrypt`].
     #[inline]
     pub(crate) fn engine_decrypt(
         &mut self,
@@ -515,38 +452,36 @@ impl Machine {
         ciphertext: u64,
         range: ByteRange,
     ) -> Result<CryptoResult, IntegrityError> {
+        if self.tracer.is_none() {
+            return self.engine.decrypt(key, tweak, ciphertext, range);
+        }
         let before = self.engine.clb().stats();
         let outcome = self.engine.decrypt(key, tweak, ciphertext, range);
-        let clb_hit = match &outcome {
-            Ok(result) => result.clb_hit,
-            Err(_) => self.engine.clb().stats().hits > before.hits,
-        };
-        let ksel = key.ksel();
-        if clb_hit {
-            self.metrics.inc(self.hot.clb_hits);
-            self.emit_trace(|| TraceEvent::ClbHit {
-                ksel,
-                decrypt: true,
-            });
-        } else {
-            self.metrics.inc(self.hot.clb_misses);
-            self.metrics.inc(self.hot.qarma_ops[ksel as usize]);
-            if self.tracer.is_some() {
-                self.trace_emit(TraceEvent::ClbMiss {
-                    ksel,
-                    decrypt: true,
-                });
-                self.trace_emit(TraceEvent::QarmaOp {
-                    ksel,
-                    tweak: self.engine.effective_tweak(key, tweak),
-                    decrypt: true,
-                });
-                if self.engine.clb().stats().evictions > before.evictions {
-                    self.trace_emit(TraceEvent::ClbEvict { ksel });
-                }
-            }
-        }
+        self.trace_crypto(key, tweak, true, before);
         outcome
+    }
+
+    /// Emits the trace events of one crypto operation, classified by the
+    /// CLB counter deltas since `before` (the decrypt error path carries no
+    /// hit flag).
+    fn trace_crypto(&mut self, key: KeyReg, tweak: u64, decrypt: bool, before: ClbStats) {
+        let ksel = key.ksel();
+        let after = self.engine.clb().stats();
+        if after.hits > before.hits {
+            self.trace_emit(TraceEvent::ClbHit { ksel, decrypt });
+            return;
+        }
+        self.trace_emit(TraceEvent::ClbMiss { ksel, decrypt });
+        // Report the effective (epoch-folded) tweak — the value the cipher
+        // actually consumed.
+        self.trace_emit(TraceEvent::QarmaOp {
+            ksel,
+            tweak: self.engine.effective_tweak(key, tweak),
+            decrypt,
+        });
+        if after.evictions > before.evictions {
+            self.trace_emit(TraceEvent::ClbEvict { ksel });
+        }
     }
 
     // --- Fault injection and watchdog ----------------------------------
@@ -775,10 +710,10 @@ impl Machine {
         }
 
         let exit = superblock::execute(self, &block);
-        self.sb.hits += 1;
-        self.sb.insns += exit.retired;
+        self.sb.stats.hits += 1;
+        self.sb.stats.insns += exit.retired;
         if exit.side_exit {
-            self.sb.side_exits += 1;
+            self.sb.stats.side_exits += 1;
         }
         // The trace *is* the decoded form: account its instructions as
         // decode-cache hits, like the interpreter path would.
@@ -795,7 +730,7 @@ impl Machine {
     /// Counters for the superblock translation tier.
     #[must_use]
     pub fn superblock_stats(&self) -> SuperblockStats {
-        self.sb.stats()
+        self.sb.stats
     }
 
     /// Enables or disables the superblock tier at runtime. Off forces pure

@@ -126,50 +126,6 @@ pub enum SnapshotKind {
     Delta,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub(crate) struct StatsImage {
-    pub cycles: u64,
-    pub instret: u64,
-    pub class_counts: [u64; InsnClass::ALL.len()],
-    pub encrypts: u64,
-    pub decrypts: u64,
-    pub integrity_failures: u64,
-    pub exceptions: u64,
-    pub timer_interrupts: u64,
-    pub decode_hits: u64,
-    pub decode_misses: u64,
-}
-
-impl StatsImage {
-    fn capture(stats: &Stats) -> Self {
-        Self {
-            cycles: stats.cycles,
-            instret: stats.instret,
-            class_counts: stats.class_counts(),
-            encrypts: stats.encrypts,
-            decrypts: stats.decrypts,
-            integrity_failures: stats.integrity_failures,
-            exceptions: stats.exceptions,
-            timer_interrupts: stats.timer_interrupts,
-            decode_hits: stats.decode_hits,
-            decode_misses: stats.decode_misses,
-        }
-    }
-
-    fn apply(&self, stats: &mut Stats) {
-        stats.cycles = self.cycles;
-        stats.instret = self.instret;
-        stats.set_class_counts(self.class_counts);
-        stats.encrypts = self.encrypts;
-        stats.decrypts = self.decrypts;
-        stats.integrity_failures = self.integrity_failures;
-        stats.exceptions = self.exceptions;
-        stats.timer_interrupts = self.timer_interrupts;
-        stats.decode_hits = self.decode_hits;
-        stats.decode_misses = self.decode_misses;
-    }
-}
-
 /// A captured machine state (see the module docs for the format).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
@@ -188,7 +144,7 @@ pub struct Snapshot {
     pub(crate) clb_entries: Vec<(u8, u64, u64, u64)>,
     pub(crate) clb_stats: ClbStats,
     pub(crate) cost: CostModel,
-    pub(crate) stats: StatsImage,
+    pub(crate) stats: Stats,
     pub(crate) timer_interval: Option<u64>,
     pub(crate) next_timer: u64,
     pub(crate) watchdog: Option<(u64, u64)>,
@@ -516,7 +472,7 @@ impl Snapshot {
         for count in &mut class_counts {
             *count = r.u64()?;
         }
-        let stats = StatsImage {
+        let stats = Stats {
             cycles,
             instret,
             class_counts,
@@ -787,7 +743,7 @@ impl Machine {
             clb_entries: clb.entries_lru_to_mru(),
             clb_stats: clb.stats(),
             cost: self.cost,
-            stats: StatsImage::capture(&self.stats),
+            stats: self.stats.clone(),
             timer_interval: self.timer_interval,
             next_timer: self.next_timer,
             watchdog: self.watchdog.map(|dog| (dog.budget(), dog.consumed())),
@@ -853,11 +809,14 @@ impl Machine {
         self.engine
             .set_epoch_state(snapshot.epochs, snapshot.nonce_ctr);
         self.epoch_rekey = snapshot.epoch_rekey;
+        // The snapshot carries `Stats` and `ClbStats`; every other counter
+        // (the engine's tallies, the superblock tier's) restarts at zero.
+        self.engine.reset_stats();
         self.engine
             .clb_mut()
             .restore_entries(&snapshot.clb_entries, snapshot.clb_stats);
         self.cost = snapshot.cost;
-        snapshot.stats.apply(&mut self.stats);
+        self.stats = snapshot.stats.clone();
         self.timer_interval = snapshot.timer_interval;
         self.next_timer = snapshot.next_timer;
         self.watchdog = snapshot
@@ -994,7 +953,7 @@ impl Machine {
         }
         h.write_u64(self.stats.cycles);
         h.write_u64(self.stats.instret);
-        for count in self.stats.class_counts() {
+        for count in self.stats.class_counts {
             h.write_u64(count);
         }
         for value in [

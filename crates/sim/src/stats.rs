@@ -56,7 +56,7 @@ pub struct Stats {
     /// Retired instructions.
     pub instret: u64,
     /// Retired instructions by class discriminant.
-    class_counts: [u64; InsnClass::ALL.len()],
+    pub(crate) class_counts: [u64; InsnClass::ALL.len()],
     /// Executed `cre` instructions.
     pub encrypts: u64,
     /// Executed `crd` instructions.
@@ -96,16 +96,6 @@ impl Stats {
     #[must_use]
     pub fn class_count(&self, class: InsnClass) -> u64 {
         self.class_counts[class as usize]
-    }
-
-    /// The raw per-class retirement array (snapshot support).
-    pub(crate) fn class_counts(&self) -> [u64; InsnClass::ALL.len()] {
-        self.class_counts
-    }
-
-    /// Overwrites the per-class retirement array (snapshot restore).
-    pub(crate) fn set_class_counts(&mut self, counts: [u64; InsnClass::ALL.len()]) {
-        self.class_counts = counts;
     }
 
     /// Fraction of retired instructions that were RegVault crypto ops.

@@ -241,8 +241,8 @@ pub(crate) struct SbExit {
     pub(crate) side_exit: bool,
 }
 
-/// Public snapshot of the tier's counters (exposed via
-/// `Machine::superblock_stats` and the metrics registry).
+/// The tier's counters (exposed via `Machine::superblock_stats` and
+/// `Machine::metrics_snapshot`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SuperblockStats {
     /// Superblock dispatches (block entries).
@@ -255,8 +255,6 @@ pub struct SuperblockStats {
     pub built: u64,
     /// Traces dropped because their page's write generation moved.
     pub invalidations: u64,
-    /// Traces currently cached.
-    pub cached: usize,
 }
 
 /// The per-machine tier state: cached blocks, the boundary profile, and
@@ -265,18 +263,14 @@ pub struct SuperblockStats {
 /// that restore simply resets.
 #[derive(Debug, Clone)]
 pub(crate) struct SuperblockCache {
-    blocks: FxHashMap<u64, Arc<Superblock>>,
+    pub(crate) blocks: FxHashMap<u64, Arc<Superblock>>,
     /// Direct-mapped: slot `(pc >> 2) & (PROFILE_SLOTS - 1)` holds the pc
     /// tag and its warming count (or a [`BUILT`]/[`UNBUILDABLE`] sentinel).
     /// Every interpreter boundary probes this once — it must stay an array
     /// access, not a hash lookup, or event-heavy guests that never build a
     /// block pay for the tier anyway.
     profile: Vec<ProfileSlot>,
-    pub(crate) hits: u64,
-    pub(crate) insns: u64,
-    pub(crate) side_exits: u64,
-    pub(crate) built: u64,
-    pub(crate) invalidations: u64,
+    pub(crate) stats: SuperblockStats,
 }
 
 /// One direct-mapped profile slot. The tag `1` is unreachable (pcs are
@@ -292,11 +286,7 @@ impl Default for SuperblockCache {
         Self {
             blocks: FxHashMap::default(),
             profile: vec![ProfileSlot { pc: 1, count: 0 }; PROFILE_SLOTS],
-            hits: 0,
-            insns: 0,
-            side_exits: 0,
-            built: 0,
-            invalidations: 0,
+            stats: SuperblockStats::default(),
         }
     }
 }
@@ -312,29 +302,6 @@ pub(crate) enum Probe {
 }
 
 impl SuperblockCache {
-    /// Counter snapshot for metrics/bench export.
-    pub(crate) fn stats(&self) -> SuperblockStats {
-        SuperblockStats {
-            hits: self.hits,
-            insns: self.insns,
-            side_exits: self.side_exits,
-            built: self.built,
-            invalidations: self.invalidations,
-            cached: self.blocks.len(),
-        }
-    }
-
-    /// Resets counters but keeps translated blocks (used by
-    /// `Machine::reset_stats`, which zeroes measurements without cooling
-    /// caches).
-    pub(crate) fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.insns = 0;
-        self.side_exits = 0;
-        self.built = 0;
-        self.invalidations = 0;
-    }
-
     /// The per-boundary entry probe: one direct-mapped array access on the
     /// cold path. Bumps the warming count and reports when `pc` crossed the
     /// hot threshold or already has a translated block.
@@ -374,7 +341,7 @@ impl SuperblockCache {
             return Some(Arc::clone(block));
         }
         self.blocks.remove(&pc);
-        self.invalidations += 1;
+        self.stats.invalidations += 1;
         self.slot_set(pc, HOT_THRESHOLD);
         None
     }
@@ -394,7 +361,7 @@ impl SuperblockCache {
                 }
                 let block = Arc::new(block);
                 self.blocks.insert(pc, Arc::clone(&block));
-                self.built += 1;
+                self.stats.built += 1;
                 Some(block)
             }
             None => {
