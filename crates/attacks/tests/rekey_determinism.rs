@@ -75,7 +75,7 @@ fn snapshot_carries_the_nonce_counter() {
     }
 
     let snapshot = machine.snapshot();
-    let mut restored = Machine::from_snapshot(&snapshot).expect("snapshot restores");
+    let mut restored = Machine::fork_from(&snapshot).expect("snapshot restores");
     assert_eq!(
         machine.arch_digest(),
         restored.arch_digest(),

@@ -13,6 +13,7 @@ use regvault_compiler::regalloc::{self, Loc};
 use regvault_core::prelude::*;
 
 fn main() {
+    regvault_cli::flags::parse_env_or_exit("ablations", &mut [], "");
     tweak_choice();
     integrity_range();
     chain_vs_independent();

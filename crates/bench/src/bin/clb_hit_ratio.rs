@@ -20,6 +20,7 @@ fn suite_cycles(protection: ProtectionConfig, clb_entries: usize) -> (u64, u64, 
 }
 
 fn main() {
+    regvault_cli::flags::parse_env_or_exit("clb_hit_ratio", &mut [], "");
     println!("CLB performance (paper §4.4.1), UnixBench suite under FULL protection\n");
     println!(
         "{:<10} {:>12} {:>12} {:>12} {:>12}",

@@ -56,6 +56,7 @@ use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use regvault_cli::flags::{self, Flag};
 use regvault_cli::json;
 use regvault_cli::json::Value;
 use regvault_kernel::cred::{CredField, EUID_OFFSET};
@@ -909,105 +910,66 @@ fn shrink_mode(path: &str) -> Result<String, String> {
     ))
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fault_campaign [--seed N] [--seeds N] [--trials N]\n\
-                               [--config full|off|both] [--jobs N] [--noise N]\n\
-                               [--repro-dir DIR] [--checkpoint FILE] [--resume]\n\
-         \x20      fault_campaign --replay BUNDLE\n\
-         \x20      fault_campaign --shrink BUNDLE\n\
-         \n\
-         Runs seeded fault-injection trials per fault class and per\n\
-         configuration, and reports Detected/Garbled/Masked/SilentCorruption\n\
-         counts. --seeds runs the campaign for N consecutive seeds starting\n\
-         at --seed, in parallel on --jobs workers (default: one per CPU;\n\
-         --jobs 1 runs single-threaded); reports are merged in seed order\n\
-         and are identical for any --jobs value. A worker that panics\n\
-         quarantines its seed and the sweep continues. Exits nonzero when\n\
-         full protection shows silent corruption.\n\
-         \n\
-         --repro-dir DIR    write a self-contained repro bundle for every\n\
-                            non-Masked trial outcome\n\
-         --noise N          pad each trial with N harmless scratch-page\n\
-                            faults (gives --shrink something to remove)\n\
-         --checkpoint FILE  persist finished seeds as JSON (atomic rewrite);\n\
-                            with --resume, skip seeds already in FILE\n\
-                            (v1 text checkpoints cannot be resumed)\n\
-         --replay BUNDLE    re-run a recorded trial, verify verdict and\n\
-                            final architectural digest bit-for-bit\n\
-         --shrink BUNDLE    ddmin-minimize BUNDLE's event log, write\n\
-                            BUNDLE.min"
-    );
-    std::process::exit(2)
-}
+/// What `fault_campaign` does, printed under its usage line.
+const HELP: &str = "
+Runs seeded fault-injection trials per fault class and configuration and
+reports Detected/Garbled/Masked/SilentCorruption counts; exits 1 on silent
+corruption under full protection. --seeds N sweeps N seeds from --seed on
+--jobs workers; --replay and --shrink re-run or minimize a bundle written
+to --repro-dir; --checkpoint and --resume persist a sweep; --panic-seed
+tests the quarantine path. Integers are decimal or 0x hex.";
 
 fn main() -> ExitCode {
-    let mut seed = 42u64;
-    let mut seed_count = 1u64;
-    let mut trials = 200u64;
-    let mut config = String::from("both");
+    let (mut seed, mut seed_count, mut trials, mut noise) = (42u64, 1u64, 200u64, 0u64);
+    let (mut config, mut resume, mut panic_seed) = (String::from("both"), false, None);
     let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut noise = 0u64;
-    let mut repro_dir: Option<String> = None;
-    let mut checkpoint_path: Option<String> = None;
-    let mut resume = false;
-    let mut replay: Option<String> = None;
-    let mut shrink: Option<String> = None;
-    let mut panic_seed: Option<u64> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        let mut value = || argv.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--seed" => seed = value().parse().unwrap_or_else(|_| usage()),
-            "--seeds" => seed_count = value().parse().unwrap_or_else(|_| usage()),
-            "--trials" => trials = value().parse().unwrap_or_else(|_| usage()),
-            "--config" => config = value(),
-            "--jobs" => jobs = value().parse().unwrap_or_else(|_| usage()),
-            "--noise" => noise = value().parse().unwrap_or_else(|_| usage()),
-            "--repro-dir" => repro_dir = Some(value()),
-            "--checkpoint" => checkpoint_path = Some(value()),
-            "--resume" => resume = true,
-            "--replay" => replay = Some(value()),
-            "--shrink" => shrink = Some(value()),
-            // Undocumented: panic inside this seed's worker, to exercise the
-            // quarantine path end-to-end.
-            "--panic-seed" => panic_seed = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--help" | "-h" => usage(),
-            _ => usage(),
+    let [mut repro_dir, mut checkpoint_path, mut replay, mut shrink]: [Option<String>; 4] =
+        Default::default();
+    let usage = {
+        let mut table = [
+            Flag::int("--seed", "N", &mut seed),
+            Flag::int("--seeds", "N", &mut seed_count),
+            Flag::int("--trials", "N", &mut trials),
+            Flag::text("--config", "full|off|both", &mut config),
+            Flag::int("--jobs", "N", &mut jobs),
+            Flag::int("--noise", "N", &mut noise),
+            Flag::text("--repro-dir", "DIR", &mut repro_dir),
+            Flag::text("--checkpoint", "FILE", &mut checkpoint_path),
+            Flag::switch("--resume", &mut resume),
+            Flag::text("--replay", "BUNDLE", &mut replay),
+            Flag::text("--shrink", "BUNDLE", &mut shrink),
+            Flag::value("--panic-seed", "N", |text| {
+                flags::int(text).map(|seed| panic_seed = Some(seed))
+            }),
+        ];
+        flags::parse_env_or_exit("fault_campaign", &mut table, HELP)
+    };
+
+    let mode = match (replay, shrink) {
+        (Some(path), _) => Some(replay_mode(&path)),
+        (None, Some(path)) => Some(shrink_mode(&path)),
+        (None, None) => None,
+    };
+    match mode {
+        Some(Ok(report)) => {
+            print!("{report}");
+            return ExitCode::SUCCESS;
         }
+        Some(Err(err)) => {
+            eprintln!("{err}");
+            return ExitCode::from(1);
+        }
+        None => {}
     }
 
-    if let Some(path) = replay {
-        return match replay_mode(&path) {
-            Ok(report) => {
-                print!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(err) => {
-                eprintln!("{err}");
-                ExitCode::from(1)
-            }
-        };
+    if !matches!(config.as_str(), "full" | "off" | "both") {
+        flags::usage_error(&format!("unknown config `{config}`"), &usage);
     }
-    if let Some(path) = shrink {
-        return match shrink_mode(&path) {
-            Ok(report) => {
-                print!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(err) => {
-                eprintln!("{err}");
-                ExitCode::from(1)
-            }
-        };
-    }
-
-    if !matches!(config.as_str(), "full" | "off" | "both") || seed_count == 0 || jobs == 0 {
-        usage();
+    if seed_count == 0 || jobs == 0 {
+        flags::usage_error("`--seeds` and `--jobs` must be at least 1", &usage);
     }
     if resume && checkpoint_path.is_none() {
-        eprintln!("--resume requires --checkpoint FILE");
-        return ExitCode::from(2);
+        flags::usage_error("--resume requires --checkpoint FILE", &usage);
     }
 
     let repro = repro_dir.map(|dir| {

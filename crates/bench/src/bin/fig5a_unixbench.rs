@@ -5,6 +5,7 @@ use regvault_bench::{overhead_rows_to_json, print_overhead_table, write_figure_j
 use regvault_workloads::{unixbench::UnixBench, Workload};
 
 fn main() {
+    regvault_cli::flags::parse_env_or_exit("fig5a_unixbench", &mut [], "");
     let items: Vec<&dyn Workload> = UnixBench::ALL.iter().map(|w| w as &dyn Workload).collect();
     let rows = print_overhead_table("Figure 5a: UnixBench results", &items);
     write_figure_json(

@@ -4,6 +4,7 @@ use regvault_bench::{overhead_rows_to_json, print_overhead_table, write_figure_j
 use regvault_workloads::{lmbench::Lmbench, Workload};
 
 fn main() {
+    regvault_cli::flags::parse_env_or_exit("fig5b_lmbench", &mut [], "");
     let items: Vec<&dyn Workload> = Lmbench::ALL.iter().map(|w| w as &dyn Workload).collect();
     let rows = print_overhead_table("Figure 5b: LMbench results", &items);
     write_figure_json(

@@ -5,6 +5,7 @@ use regvault_bench::{overhead_rows_to_json, print_overhead_table, write_figure_j
 use regvault_workloads::{spec::Spec, Workload};
 
 fn main() {
+    regvault_cli::flags::parse_env_or_exit("fig5c_spec", &mut [], "");
     let items: Vec<&dyn Workload> = Spec::ALL.iter().map(|w| w as &dyn Workload).collect();
     let rows = print_overhead_table("Figure 5c: SPEC2017 intspeed results", &items);
     write_figure_json(

@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{black_box, Criterion};
 use regvault_bench::repo_root;
+use regvault_cli::flags::{self, Flag};
 use regvault_cli::json;
 use regvault_cli::json::Value;
 use regvault_isa::{ByteRange, KeyReg};
@@ -57,29 +58,6 @@ fn baseline(key: &str) -> f64 {
         .find(|(k, _)| *k == key)
         .map(|(_, v)| *v)
         .expect("known baseline key")
-}
-
-struct Args {
-    quick: bool,
-    check: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        quick: false,
-        check: false,
-    };
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--check" => args.check = true,
-            other => {
-                eprintln!("unknown argument: {other} (expected --quick and/or --check)");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
 }
 
 /// Wall-clock steps/sec for one workload+config: best of `runs` timed runs
@@ -218,13 +196,21 @@ fn tracing_rates(rounds: usize) -> (f64, f64, f64, f64) {
 }
 
 fn main() {
-    let args = parse_args();
-    if args.check {
+    let (mut quick, mut check) = (false, false);
+    flags::parse_env_or_exit(
+        "hotpath",
+        &mut [
+            Flag::switch("--quick", &mut quick),
+            Flag::switch("--check", &mut check),
+        ],
+        "",
+    );
+    if check {
         run_check();
         return;
     }
 
-    let (sample_time, runs) = if args.quick {
+    let (sample_time, runs) = if quick {
         (Duration::from_millis(60), 2)
     } else {
         // Long windows: the published JSON is only as good as its noise
@@ -233,9 +219,9 @@ fn main() {
         (Duration::from_secs(2), 4)
     };
     let mut criterion = Criterion::default()
-        .sample_size(if args.quick { 4 } else { 20 })
+        .sample_size(if quick { 4 } else { 20 })
         .measurement_time(sample_time)
-        .warm_up_time(Duration::from_millis(if args.quick { 20 } else { 500 }));
+        .warm_up_time(Duration::from_millis(if quick { 20 } else { 500 }));
 
     let key = Key::new(W0, K0);
 
@@ -436,7 +422,7 @@ fn main() {
         }),
     });
 
-    if args.quick {
+    if quick {
         println!("\n--quick: skipping BENCH_hotpath.json rewrite");
     } else {
         let path = repo_root().join("BENCH_hotpath.json");

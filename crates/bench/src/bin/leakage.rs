@@ -21,11 +21,13 @@
 
 use std::process::ExitCode;
 
-use regvault_bench::{quick_flag, write_figure_json};
+use regvault_bench::write_figure_json;
+use regvault_cli::flags::{self, Flag};
 use regvault_cli::leakage::{gate, render_human, run_campaign, to_json, DEFAULT_SEED};
 
 fn main() -> ExitCode {
-    let quick = quick_flag("leakage");
+    let mut quick = false;
+    flags::parse_env_or_exit("leakage", &mut [Flag::switch("--quick", &mut quick)], "");
     let seed = DEFAULT_SEED;
     let report = match run_campaign(seed, quick) {
         Ok(report) => report,

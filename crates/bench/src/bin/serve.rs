@@ -17,13 +17,15 @@
 
 use std::process::ExitCode;
 
-use regvault_bench::{quick_flag, write_figure_json};
+use regvault_bench::write_figure_json;
+use regvault_cli::flags::{self, Flag};
 use regvault_cli::json;
 use regvault_cli::serve::{gate, render_human, to_json};
 use regvault_server::{ServeConfig, Supervisor};
 
 fn main() -> ExitCode {
-    let quick = quick_flag("serve");
+    let mut quick = false;
+    flags::parse_env_or_exit("serve", &mut [Flag::switch("--quick", &mut quick)], "");
     let (requests, fault_interval) = if quick {
         (200, 50_000)
     } else {

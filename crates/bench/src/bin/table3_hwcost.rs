@@ -4,6 +4,7 @@
 use regvault_core::hwcost::{clb_sweep, soc_report};
 
 fn main() {
+    regvault_cli::flags::parse_env_or_exit("table3_hwcost", &mut [], "");
     println!("Table 3: RegVault relative hardware resource cost over the entire SoC\n");
     println!(
         "{:<6} {:<6} {:>16} {:>8} {:>8}   {:>16} {:>8} {:>8}",

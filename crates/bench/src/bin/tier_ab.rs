@@ -29,6 +29,7 @@ fn rate(workload: &dyn Workload, tier: bool) -> f64 {
 }
 
 fn main() {
+    regvault_cli::flags::parse_env_or_exit("tier_ab", &mut [], "");
     for (name, wl) in [
         ("syscall", &UnixBench::Syscall as &dyn Workload),
         ("null", &Lmbench::Null),

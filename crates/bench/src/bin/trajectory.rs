@@ -24,11 +24,15 @@
 //! before rerunning the bench bins); `--fresh` defaults to the repo root,
 //! where the bench bins write. `--baseline . --fresh .` checks that every
 //! gated path resolves in the committed artifacts without regenerating any.
+//!
+//! Exits 0 when no gated metric regressed, 1 when one did, and 2 on a usage
+//! error (an unknown flag, a flag without its value, no `--baseline`).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use regvault_bench::repo_root;
+use regvault_cli::flags::{self, Flag};
 use regvault_cli::json::Value;
 
 /// Which direction of change is an improvement.
@@ -166,22 +170,17 @@ fn compare(
 }
 
 fn main() -> ExitCode {
-    let usage = "usage: trajectory --baseline <dir-with-committed-BENCH-json> [--fresh <dir>]";
-    let (mut baseline_dir, mut fresh_dir) = (None, repo_root());
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match (flag.as_str(), args.next().map(PathBuf::from)) {
-            ("--baseline", Some(dir)) => baseline_dir = Some(dir),
-            ("--fresh", Some(dir)) => fresh_dir = dir,
-            _ => {
-                eprintln!("bad flag `{flag}`\n{usage}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let Some(baseline_dir) = baseline_dir else {
-        eprintln!("{usage}");
-        return ExitCode::FAILURE;
+    let (mut baseline_dir, mut fresh_dir) = (None::<String>, repo_root());
+    let usage = flags::parse_env_or_exit(
+        "trajectory",
+        &mut [
+            Flag::text("--baseline", "DIR", &mut baseline_dir),
+            Flag::text("--fresh", "DIR", &mut fresh_dir),
+        ],
+        "",
+    );
+    let Some(baseline_dir) = baseline_dir.map(PathBuf::from) else {
+        flags::usage_error("`--baseline` is required", &usage);
     };
 
     println!("## Bench trajectory\n");

@@ -33,19 +33,6 @@ pub fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Parses the arguments of a bench binary that accepts only `--quick`:
-/// returns whether it was given, or exits 2 with a usage line on any other
-/// argument (so a typo never starts the full run and rewrites its JSON).
-#[must_use]
-pub fn quick_flag(bin: &str) -> bool {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(arg) = args.iter().find(|arg| *arg != "--quick") {
-        eprintln!("unknown argument: {arg}\nusage: {bin} [--quick]");
-        std::process::exit(2);
-    }
-    !args.is_empty()
-}
-
 /// Converts Figure 5 style overhead rows into the JSON shape shared by the
 /// `fig5*` binaries: per-workload base cycles and per-config overhead
 /// fractions, plus the geometric-mean row.

@@ -6,13 +6,14 @@ use std::fmt::Write as _;
 
 use regvault_server::fleet::{run_fleet, FleetConfig, FleetReport, FleetScenario};
 
+use crate::flags::{self, Flag};
 use crate::json;
 use crate::json::Value;
 use crate::serve::latency_json;
 use crate::CliError;
 
 /// Parsed `fleet` arguments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetArgs {
     /// Scenario configuration.
     pub config: FleetConfig,
@@ -24,63 +25,33 @@ pub struct FleetArgs {
     pub smoke: bool,
 }
 
+/// The `fleet` flag table, writing into `args`.
+pub(crate) fn flag_table(args: &mut FleetArgs) -> Vec<Flag<'_>> {
+    let config = &mut args.config;
+    vec![
+        Flag::int("--instances", "N", &mut config.instances),
+        Flag::int("--requests", "N", &mut config.requests_per_instance),
+        Flag::int("--rate", "CYCLES", &mut config.mean_interarrival),
+        Flag::int("--deadline", "CYCLES", &mut config.deadline),
+        Flag::int("--chaos", "K", &mut config.chaos_kill_interval),
+        Flag::action("--cold", || config.micro_restore = false),
+        Flag::int("--workers", "N", &mut config.workers),
+        Flag::int("--seed", "S", &mut config.seed),
+        Flag::switch("--json", &mut args.json),
+        Flag::switch("--smoke", &mut args.smoke),
+    ]
+}
+
 /// Parses `fleet` flags.
 ///
 /// # Errors
 ///
 /// Describes the offending flag or value.
 pub fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, CliError> {
-    let mut config = FleetConfig::default();
-    let mut json = false;
-    let mut smoke = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| -> Result<&String, CliError> {
-            it.next().ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        match flag.as_str() {
-            "--json" => json = true,
-            "--smoke" => smoke = true,
-            "--instances" => {
-                config.instances = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid instance count".to_string())?;
-            }
-            "--requests" => {
-                config.requests_per_instance = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid request count".to_string())?;
-            }
-            "--rate" => {
-                config.mean_interarrival = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid mean interarrival".to_string())?;
-            }
-            "--deadline" => {
-                config.deadline = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid deadline".to_string())?;
-            }
-            "--seed" => {
-                config.seed = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid seed".to_string())?;
-            }
-            "--workers" => {
-                config.workers = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid worker count".to_string())?;
-            }
-            "--chaos" => {
-                config.chaos_kill_interval = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid chaos kill interval".to_string())?;
-            }
-            "--cold" => config.micro_restore = false,
-            other => return Err(format!("unknown fleet flag `{other}`")),
-        }
-    }
-    if smoke {
+    let mut parsed = FleetArgs::default();
+    flags::parse_flags(args, &mut flag_table(&mut parsed))?;
+    let config = &mut parsed.config;
+    if parsed.smoke {
         // Short but adversarial: a small chaotic fleet.
         config.instances = config.instances.min(8);
         config.requests_per_instance = config.requests_per_instance.min(16);
@@ -88,11 +59,7 @@ pub fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, CliError> {
             config.chaos_kill_interval = 6;
         }
     }
-    Ok(FleetArgs {
-        config,
-        json,
-        smoke,
-    })
+    Ok(parsed)
 }
 
 /// The fleet report as JSON: the one serializer behind `fleet --json` and
@@ -259,10 +226,7 @@ pub fn cmd_fleet(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn s(args: &[&str]) -> Vec<String> {
-        args.iter().map(|a| (*a).to_owned()).collect()
-    }
+    use crate::flags::args as s;
 
     #[test]
     fn smoke_run_passes_the_gate() {

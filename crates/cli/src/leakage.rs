@@ -13,6 +13,7 @@ use regvault_attacks::oracle::{CollisionReport, MemOracle};
 use regvault_server::{ServeConfig, Supervisor};
 use regvault_workloads::{lmbench::Lmbench, spec::Spec, unixbench::UnixBench, Workload};
 
+use crate::flags::{self, Flag};
 use crate::json;
 use crate::json::Value;
 use crate::CliError;
@@ -33,31 +34,33 @@ pub struct LeakageArgs {
     pub smoke: bool,
 }
 
+impl Default for LeakageArgs {
+    fn default() -> Self {
+        Self {
+            seed: DEFAULT_SEED,
+            json: false,
+            smoke: false,
+        }
+    }
+}
+
+/// The `leakage` flag table, writing into `args`.
+pub(crate) fn flag_table(args: &mut LeakageArgs) -> Vec<Flag<'_>> {
+    vec![
+        Flag::int("--seed", "S", &mut args.seed),
+        Flag::switch("--json", &mut args.json),
+        Flag::switch("--smoke", &mut args.smoke),
+    ]
+}
+
 /// Parses `leakage` flags.
 ///
 /// # Errors
 ///
 /// Describes the offending flag or value.
 pub fn parse_leakage_args(args: &[String]) -> Result<LeakageArgs, CliError> {
-    let mut parsed = LeakageArgs {
-        seed: DEFAULT_SEED,
-        json: false,
-        smoke: false,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--json" => parsed.json = true,
-            "--smoke" => parsed.smoke = true,
-            "--seed" => {
-                let value = it.next().ok_or("`--seed` needs a value")?;
-                parsed.seed = value
-                    .parse()
-                    .map_err(|_| format!("invalid seed `{value}`"))?;
-            }
-            other => return Err(format!("unknown leakage flag `{other}`")),
-        }
-    }
+    let mut parsed = LeakageArgs::default();
+    flags::parse_flags(args, &mut flag_table(&mut parsed))?;
     Ok(parsed)
 }
 

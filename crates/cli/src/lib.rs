@@ -1,34 +1,14 @@
 //! Library backing the `regvault-cli` binary.
 //!
 //! Each subcommand is a function from parsed arguments to an output string,
-//! so the whole surface is unit-testable without spawning processes:
-//!
-//! * `asm <file.s>` — assemble to a hex word listing;
-//! * `disasm <file.s|->` — assemble then disassemble (round-trip view);
-//! * `run <file.s>` — execute a bare-metal guest program on the simulated
-//!   RegVault machine (keys `a`–`g` pre-loaded) and dump the registers;
-//! * `pentest [config]` — run the Table 4 suite against a configuration;
-//! * `hwcost [entries]` — print the Table 3 area model for a CLB size;
-//! * `verify <file.s>` / `verify --workloads` — run the binary-level
-//!   protection verifier over an assembled program or the whole benchmark
-//!   corpus (`--json` for machine-readable reports);
-//! * `record <file.s> <out.bundle>` — run a program while recording every
-//!   nondeterministic input into a self-contained repro bundle;
-//! * `replay <bundle>` — re-execute a bundle and check it reproduces
-//!   bit-for-bit (same architectural digest, same outcome);
-//! * `divergence <file.s>` — co-run the optimized and reference datapaths
-//!   in lockstep and localize the first divergent instruction, if any;
-//! * `serve` — run the supervised multi-tenant server scenario (open-loop
-//!   load over kernel IPC under live fault injection) and report
-//!   throughput, latency quantiles, and recovery/shed accounting;
-//! * `fleet` — fork a fleet of machines from one warm snapshot (CoW page
-//!   sharing), drive them across a work-stealing pool under an optional
-//!   chaos kill schedule, and report fork cost, serving throughput, and
-//!   micro-restore vs cold-boot recovery accounting.
+//! so the whole surface is unit-testable without spawning processes.
+//! [`usage`] lists the subcommands; it is rendered from the same [`flags`]
+//! tables that parse them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod flags;
 pub mod fleet;
 pub mod json;
 pub mod leakage;
@@ -39,6 +19,7 @@ pub use fleet::{cmd_fleet, parse_fleet_args, FleetArgs};
 pub use observe::{cmd_metrics, cmd_profile, cmd_trace, ProfileTracer, TraceFormat, TraceSubject};
 pub use serve::{cmd_serve, parse_serve_args, ServeArgs};
 
+use std::cell::Cell;
 use std::fmt::Write as _;
 
 use regvault_attacks::run_all;
@@ -56,6 +37,7 @@ use regvault_verifier::{
 };
 use regvault_workloads::{lmbench::Lmbench, spec::Spec, unixbench::UnixBench, Workload};
 
+use crate::flags::Flag;
 use crate::json::Value;
 
 /// Error string type used by the CLI (messages go straight to stderr).
@@ -167,7 +149,8 @@ pub(crate) fn boot_bare_machine(source: &str, reference: bool) -> Result<Machine
     Ok(machine)
 }
 
-/// Parses one `--flip INSTRET:ADDR:BIT` specification (addr may be hex).
+/// Parses one `--flip INSTRET:ADDR:BIT` specification (each part decimal
+/// or `0x` hex).
 ///
 /// # Errors
 ///
@@ -178,13 +161,7 @@ pub fn parse_flip(spec: &str) -> Result<(u64, FaultKind), CliError> {
     let [instret, addr, bit] = parts[..] else {
         return Err(err());
     };
-    let parse_u64 = |s: &str| -> Result<u64, CliError> {
-        if let Some(hex) = s.strip_prefix("0x") {
-            u64::from_str_radix(hex, 16).map_err(|_| err())
-        } else {
-            s.parse().map_err(|_| err())
-        }
-    };
+    let parse_u64 = |s: &str| flags::int::<u64>(s).map_err(|_| err());
     Ok((
         parse_u64(instret)?,
         FaultKind::MemBitFlip {
@@ -259,7 +236,7 @@ pub fn cmd_replay(bundle_bytes: &[u8]) -> Result<String, CliError> {
          (fault_campaign --replay)"
             .to_owned()
     })?;
-    let mut machine = Machine::from_snapshot(snapshot).map_err(|e| e.to_string())?;
+    let mut machine = Machine::fork_from(snapshot).map_err(|e| e.to_string())?;
     if !bundle.log.is_empty() {
         machine.set_fault_plan(bundle.log.to_plan());
     }
@@ -435,9 +412,7 @@ pub fn cmd_pentest(label: &str) -> Result<String, CliError> {
 ///
 /// Rejects non-numeric entry counts.
 pub fn cmd_hwcost(entries: &str) -> Result<String, CliError> {
-    let entries: usize = entries
-        .parse()
-        .map_err(|_| format!("invalid CLB entry count `{entries}`"))?;
+    let entries: usize = flags::int(entries)?;
     let report = hwcost::soc_report(entries);
     let mut out = String::new();
     let _ = writeln!(out, "SoC with a {entries}-entry CLB:");
@@ -493,6 +468,22 @@ pub struct VerifyArgs {
     pub key_symbols: Vec<String>,
 }
 
+/// The `verify` flag table, writing into `args`.
+fn verify_flags(args: &mut VerifyArgs) -> Vec<Flag<'_>> {
+    vec![
+        Flag::switch("--workloads", &mut args.workloads),
+        Flag::switch("--json", &mut args.json),
+        Flag::switch("--sarif", &mut args.sarif),
+        Flag::switch("--interprocedural", &mut args.interprocedural),
+        Flag::text("--baseline", "FILE", &mut args.baseline),
+        Flag::text("--update-baseline", "FILE", &mut args.update_baseline),
+        Flag::value("--key-symbol", "NAME", |name| {
+            args.key_symbols.push(name.to_owned());
+            Ok(())
+        }),
+    ]
+}
+
 /// Parses `verify` subcommand arguments.
 ///
 /// # Errors
@@ -502,38 +493,13 @@ pub struct VerifyArgs {
 /// `--sarif`).
 pub fn parse_verify_args(args: &[String]) -> Result<VerifyArgs, CliError> {
     let mut parsed = VerifyArgs::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workloads" => parsed.workloads = true,
-            "--json" => parsed.json = true,
-            "--sarif" => parsed.sarif = true,
-            "--interprocedural" => parsed.interprocedural = true,
-            "--baseline" => {
-                let value = it.next().ok_or("`--baseline` needs a path")?;
-                parsed.baseline = Some(value.clone());
-            }
-            "--update-baseline" => {
-                let value = it.next().ok_or("`--update-baseline` needs a path")?;
-                parsed.update_baseline = Some(value.clone());
-            }
-            "--key-symbol" => {
-                let value = it.next().ok_or("`--key-symbol` needs a symbol name")?;
-                parsed.key_symbols.push(value.clone());
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown verify flag `{other}`"));
-            }
-            file => {
-                if parsed.file.is_some() {
-                    return Err("verify takes at most one input file".to_owned());
-                }
-                parsed.file = Some(file.to_owned());
-            }
-        }
+    let mut files = flags::parse(args, &mut verify_flags(&mut parsed))?.into_iter();
+    parsed.file = files.next();
+    if files.next().is_some() {
+        return Err("verify takes at most one input file".to_owned());
     }
     if parsed.workloads == parsed.file.is_some() {
-        return Err(usage().to_owned());
+        return Err(usage());
     }
     if parsed.json && parsed.sarif {
         return Err("choose one of --json / --sarif".to_owned());
@@ -919,70 +885,90 @@ pub fn cmd_verify_workloads(args: &VerifyArgs) -> Result<String, CliError> {
     }
 }
 
-/// Usage text.
-#[must_use]
-pub fn usage() -> &'static str {
-    "regvault-cli — the RegVault reproduction toolbox
+/// Every subcommand as `(name and positionals, flag table, description)`:
+/// the one list behind [`usage`] and the flag-table tests.
+fn subcommands(mut visit: impl FnMut(&str, &mut [Flag<'_>], &str)) {
+    for (command, about) in [
+        ("asm     <file.s>", "assemble, print words + symbols"),
+        ("disasm  <file.s>", "assemble + disassemble round trip"),
+        (
+            "run     <file.s> [steps]",
+            "execute on the simulated machine",
+        ),
+        ("pentest [config]", "run Table 4 (default: full)"),
+        ("hwcost  [entries]", "Table 3 area model (default: 8)"),
+        ("replay  <bundle>", "re-run a bundle, check bit-for-bit"),
+    ] {
+        visit(command, &mut [], about);
+    }
+    visit(
+        "verify  [file.s]",
+        &mut verify_flags(&mut VerifyArgs::default()),
+        "check RegVault invariants over a program, or with --workloads over \
+         every benchmark image; --interprocedural adds call-graph summaries + \
+         whole-program lints; --key-symbol names key storage (file mode); with \
+         --baseline, fail on any finding not in the committed baseline",
+    );
+    visit(
+        "record  <file.s> <out.bundle>",
+        &mut record_flags(&mut 0, &mut Vec::new()),
+        "run + record a repro bundle",
+    );
+    visit(
+        "divergence [file.s] [steps] [interval]",
+        &mut divergence_flags(&mut false),
+        "lockstep optimized vs reference datapath over a program; --tiers \
+         [steps] instead locksteps the superblock tier vs the interpreter over \
+         every UnixBench/LMbench guest",
+    );
+    visit(
+        "trace|metrics|profile [file.s]",
+        &mut observe_flags(
+            &mut None,
+            &Cell::new(TraceFormat::Human),
+            &mut false,
+            &mut 0,
+        ),
+        "a program or --workload: structured event trace (--chrome loads in \
+         Perfetto), counters + histograms, or per-function steps + crypto profile",
+    );
+    visit(
+        "serve",
+        &mut serve::flag_table(&mut ServeArgs::default()),
+        "supervised multi-tenant server under live fault injection (--smoke \
+         gates on the accounting identity; --no-micro-reboot recovers by cold \
+         restart only; --deadline-factor 0 disables the deadline shedder)",
+    );
+    visit(
+        "fleet",
+        &mut fleet::flag_table(&mut FleetArgs::default()),
+        "snapshot-forked machine fleet with micro-reboot recovery under a chaos \
+         kill schedule (--smoke gates on the accounting identity and recovery)",
+    );
+    visit(
+        "leakage",
+        &mut leakage::flag_table(&mut leakage::LeakageArgs::default()),
+        "ciphertext side-channel campaign: dictionary collisions over the \
+         workload corpus with the epoch-rekey mitigation off vs on (--smoke \
+         trims the corpus and gates on a 10x collision reduction)",
+    );
+}
 
-USAGE:
-    regvault-cli asm     <file.s>          assemble, print words + symbols
-    regvault-cli disasm  <file.s>          assemble + disassemble round trip
-    regvault-cli run     <file.s> [steps]  execute on the simulated machine
-    regvault-cli pentest [config]          run Table 4 (default: full)
-    regvault-cli hwcost  [entries]         Table 3 area model (default: 8)
-    regvault-cli verify  <file.s> [--json|--sarif] [--interprocedural]
-                         [--key-symbol NAME]...
-                                           check RegVault invariants over a program
-                                           (--interprocedural adds call-graph
-                                           summaries + whole-program lints)
-    regvault-cli verify  --workloads [--json|--sarif] [--interprocedural]
-                         [--baseline FILE] [--update-baseline FILE]
-                                           verify every benchmark image; with
-                                           --baseline, fail on any finding not
-                                           in the committed baseline (ratchet)
-    regvault-cli record  <file.s> <out.bundle> [--steps N] [--flip I:ADDR:BIT]...
-                                           run + record a repro bundle
-    regvault-cli replay  <bundle>          re-run a bundle, check bit-for-bit
-    regvault-cli divergence <file.s> [steps] [interval]
-                                           lockstep optimized vs reference datapath
-    regvault-cli divergence --tiers [steps]
-                                           lockstep superblock tier vs interpreter
-                                           over every UnixBench/LMbench guest
-    regvault-cli trace   <file.s> [--json|--chrome] [--limit N]
-    regvault-cli trace   --workload <name> [--json|--chrome] [--limit N]
-                                           structured event trace (--chrome loads
-                                           in Perfetto / chrome://tracing)
-    regvault-cli metrics <file.s> [--json]
-    regvault-cli metrics --workload <name> [--json]
-                                           counters + histograms of a run
-    regvault-cli profile <file.s> [--json]
-    regvault-cli profile --workload <name> [--json]
-                                           per-function steps + crypto profile
-    regvault-cli serve   [--tenants N] [--requests N] [--rate CYCLES]
-                         [--faults CYCLES] [--seed S] [--queue-cap N]
-                         [--config LABEL] [--no-micro-reboot]
-                         [--deadline-factor K] [--json] [--smoke]
-                                           supervised multi-tenant server under
-                                           live fault injection (--smoke gates
-                                           on the accounting identity;
-                                           --no-micro-reboot recovers by cold
-                                           restart only; --deadline-factor 0
-                                           disables the deadline shedder)
-    regvault-cli fleet   [--instances N] [--requests N] [--rate CYCLES]
-                         [--deadline CYCLES] [--chaos K] [--cold]
-                         [--workers N] [--seed S] [--json] [--smoke]
-                                           snapshot-forked machine fleet with
-                                           micro-reboot recovery under a chaos
-                                           kill schedule (--smoke gates on the
-                                           accounting identity and recovery)
-    regvault-cli leakage [--seed S] [--json] [--smoke]
-                                           ciphertext side-channel campaign:
-                                           dictionary collisions over the
-                                           workload corpus with the epoch-rekey
-                                           mitigation off vs on (--smoke trims
-                                           the corpus and gates on a 10x
-                                           collision reduction)
-"
+/// Usage text: each subcommand's synopsis, rendered from its flag table,
+/// then its description from column 43.
+#[must_use]
+pub fn usage() -> String {
+    let mut out = "regvault-cli — the RegVault reproduction toolbox\n\nUSAGE:\n".to_owned();
+    subcommands(|command, table, about| {
+        out.push_str(&flags::synopsis(
+            &format!("    regvault-cli {command}"),
+            table,
+        ));
+        flags::wrap(&mut out, 43, about.split(' ').map(str::to_owned));
+        out.push('\n');
+    });
+    out.push_str("\nInteger values (N, S, K, CYCLES, steps, ...) are decimal or 0x hex.\n");
+    out
 }
 
 /// Reads an assembly source file with a friendly diagnostic.
@@ -994,63 +980,84 @@ pub fn read_source(path: &str) -> Result<String, CliError> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
-/// `record <file.s> <out.bundle> [--steps N] [--flip I:ADDR:BIT]...`
+/// The `record` flag table, writing into `steps` and `faults`.
+fn record_flags<'a>(steps: &'a mut u64, faults: &'a mut Vec<(u64, FaultKind)>) -> Vec<Flag<'a>> {
+    vec![
+        Flag::int("--steps", "N", steps),
+        Flag::value("--flip", "I:ADDR:BIT", |spec| {
+            parse_flip(spec).map(|flip| faults.push(flip))
+        }),
+    ]
+}
+
+/// `record <file.s> <out.bundle>` plus the [`record_flags`].
 fn dispatch_record(args: &[String]) -> Result<String, CliError> {
-    let [file, out_path, flags @ ..] = args else {
-        return Err(usage().to_owned());
+    let (mut steps, mut faults) = (10_000_000, Vec::new());
+    let positionals = flags::parse(args, &mut record_flags(&mut steps, &mut faults))?;
+    let [file, out_path] = &positionals[..] else {
+        return Err(usage());
     };
-    let mut steps = 10_000_000u64;
-    let mut faults = Vec::new();
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        let value = it.next().ok_or_else(|| format!("`{flag}` needs a value"))?;
-        match flag.as_str() {
-            "--steps" => {
-                steps = value
-                    .parse()
-                    .map_err(|_| format!("invalid step budget `{value}`"))?;
-            }
-            "--flip" => faults.push(parse_flip(value)?),
-            other => return Err(format!("unknown record flag `{other}`")),
-        }
-    }
     let (report, bytes) = cmd_record(&read_source(file)?, steps, &faults)?;
     std::fs::write(out_path, bytes).map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
     Ok(format!("{report}bundle written to {out_path}\n"))
 }
 
-/// `trace|metrics|profile` argument parsing: a file or `--workload <name>`,
-/// then output flags.
-fn dispatch_observe(cmd: &str, args: &[String]) -> Result<String, CliError> {
-    let (subject, flags) = match args {
-        [flag, name, rest @ ..] if flag == "--workload" => {
-            (TraceSubject::Workload(name.clone()), rest)
+/// The `divergence` flag table: `--tiers` selects the superblock sweep.
+fn divergence_flags(tiers: &mut bool) -> Vec<Flag<'_>> {
+    vec![Flag::switch("--tiers", tiers)]
+}
+
+/// `divergence <file.s> [steps] [interval]` or `divergence --tiers [steps]`.
+fn dispatch_divergence(args: &[String]) -> Result<String, CliError> {
+    let mut tiers = false;
+    let positionals = flags::parse(args, &mut divergence_flags(&mut tiers))?;
+    let count = |i: usize, default: u64| positionals.get(i).map_or(Ok(default), |n| flags::int(n));
+    match &positionals[..] {
+        [] | [_] if tiers => cmd_divergence_tiers(count(0, 500_000)?),
+        [file, ..] if !tiers && positionals.len() <= 3 => {
+            let (steps, interval) = (count(1, 1_000_000)?, count(2, 256)?);
+            cmd_divergence(&read_source(file)?, steps, interval)
         }
-        [file, rest @ ..] => (TraceSubject::Bare(read_source(file)?), rest),
-        [] => return Err(usage().to_owned()),
-    };
-    let mut format = TraceFormat::Human;
-    let mut json = false;
-    let mut limit = 65_536usize;
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--json" => {
-                format = TraceFormat::Json;
-                json = true;
-            }
-            "--chrome" => format = TraceFormat::Chrome,
-            "--limit" => {
-                let value = it.next().ok_or("`--limit` needs a value")?;
-                limit = value
-                    .parse()
-                    .map_err(|_| format!("invalid trace limit `{value}`"))?;
-            }
-            other => return Err(format!("unknown {cmd} flag `{other}`")),
-        }
+        _ => Err(usage()),
     }
+}
+
+/// The `trace|metrics|profile` flag table. `--json` and `--chrome` pick the
+/// `trace` format (the last one given wins); `--json` also selects JSON
+/// for `metrics` and `profile`.
+fn observe_flags<'a>(
+    workload: &'a mut Option<String>,
+    format: &'a Cell<TraceFormat>,
+    json: &'a mut bool,
+    limit: &'a mut usize,
+) -> Vec<Flag<'a>> {
+    vec![
+        Flag::text("--workload", "NAME", workload),
+        Flag::action("--json", move || {
+            format.set(TraceFormat::Json);
+            *json = true;
+        }),
+        Flag::action("--chrome", || format.set(TraceFormat::Chrome)),
+        Flag::int("--limit", "N", limit),
+    ]
+}
+
+/// `trace|metrics|profile <file.s>`, or `--workload NAME` instead of the
+/// file, plus the [`observe_flags`].
+fn dispatch_observe(cmd: &str, args: &[String]) -> Result<String, CliError> {
+    let (mut workload, format, mut json, mut limit) =
+        (None, Cell::new(TraceFormat::Human), false, 65_536);
+    let files = flags::parse(
+        args,
+        &mut observe_flags(&mut workload, &format, &mut json, &mut limit),
+    )?;
+    let subject = match (workload, &files[..]) {
+        (Some(name), []) => TraceSubject::Workload(name),
+        (None, [file]) => TraceSubject::Bare(read_source(file)?),
+        _ => return Err(usage()),
+    };
     match cmd {
-        "trace" => cmd_trace(&subject, format, limit),
+        "trace" => cmd_trace(&subject, format.get(), limit),
         "metrics" => cmd_metrics(&subject, json),
         "profile" => cmd_profile(&subject, json),
         _ => unreachable!("dispatch_observe called for {cmd}"),
@@ -1068,13 +1075,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     match args {
         [cmd, file] if cmd == "asm" => cmd_asm(&read_source(file)?),
         [cmd, file] if cmd == "disasm" => cmd_disasm(&read_source(file)?),
-        [cmd, file] if cmd == "run" => cmd_run(&read_source(file)?, 10_000_000),
-        [cmd, file, steps] if cmd == "run" => {
-            let steps = steps
-                .parse()
-                .map_err(|_| format!("invalid step budget `{steps}`"))?;
-            cmd_run(&read_source(file)?, steps)
-        }
+        [cmd, rest @ ..] if cmd == "run" => match &flags::parse(rest, &mut [])?[..] {
+            [file] => cmd_run(&read_source(file)?, 10_000_000),
+            [file, steps] => cmd_run(&read_source(file)?, flags::int(steps)?),
+            _ => Err(usage()),
+        },
         [cmd] if cmd == "pentest" => cmd_pentest("full"),
         [cmd, config] if cmd == "pentest" => cmd_pentest(config),
         [cmd] if cmd == "hwcost" => cmd_hwcost("8"),
@@ -1094,36 +1099,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 std::fs::read(bundle).map_err(|e| format!("cannot read `{bundle}`: {e}"))?;
             cmd_replay(&bytes)
         }
-        [cmd, flag] if cmd == "divergence" && flag == "--tiers" => cmd_divergence_tiers(500_000),
-        [cmd, flag, steps] if cmd == "divergence" && flag == "--tiers" => {
-            let steps = steps
-                .parse()
-                .map_err(|_| format!("invalid step budget `{steps}`"))?;
-            cmd_divergence_tiers(steps)
-        }
-        [cmd, file] if cmd == "divergence" => cmd_divergence(&read_source(file)?, 1_000_000, 256),
-        [cmd, file, steps] if cmd == "divergence" => {
-            let steps = steps
-                .parse()
-                .map_err(|_| format!("invalid step budget `{steps}`"))?;
-            cmd_divergence(&read_source(file)?, steps, 256)
-        }
-        [cmd, file, steps, interval] if cmd == "divergence" => {
-            let steps = steps
-                .parse()
-                .map_err(|_| format!("invalid step budget `{steps}`"))?;
-            let interval = interval
-                .parse()
-                .map_err(|_| format!("invalid check interval `{interval}`"))?;
-            cmd_divergence(&read_source(file)?, steps, interval)
-        }
+        [cmd, rest @ ..] if cmd == "divergence" => dispatch_divergence(rest),
         [cmd, rest @ ..] if cmd == "trace" || cmd == "metrics" || cmd == "profile" => {
             dispatch_observe(cmd, rest)
         }
         [cmd, rest @ ..] if cmd == "serve" => cmd_serve(rest),
         [cmd, rest @ ..] if cmd == "fleet" => cmd_fleet(rest),
         [cmd, rest @ ..] if cmd == "leakage" => leakage::cmd_leakage(rest),
-        _ => Err(usage().to_owned()),
+        _ => Err(usage()),
     }
 }
 
@@ -1131,35 +1114,37 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
+    /// Every subcommand's flag table: each flag shows in `usage()`, a value
+    /// flag without its value errs, an integer flag takes hex but not
+    /// `lots`, and an unknown flag errs. Usage lines wrap before column 80.
     #[test]
-    fn usage_lists_every_serve_fleet_and_leakage_flag() {
-        for (cmd, parser) in [
-            ("serve", include_str!("serve.rs")),
-            ("fleet", include_str!("fleet.rs")),
-            ("leakage", include_str!("leakage.rs")),
-        ] {
-            // Tokens of the `regvault-cli <cmd>` lines, up to the next command.
-            let (mut current, mut tokens) = ("", Vec::new());
-            for line in usage().lines() {
-                if let Some(rest) = line.trim().strip_prefix("regvault-cli ") {
-                    current = rest.split_whitespace().next().unwrap_or("");
-                }
-                if current == cmd {
-                    tokens.extend(line.split(|c: char| c.is_whitespace() || "[];".contains(c)));
-                }
-            }
-            // Every match arm of the parser: `"--flag" => ...`.
-            let flags: Vec<&str> = parser
-                .lines()
-                .filter_map(|line| line.trim().strip_prefix('"')?.split_once("\" =>"))
-                .map(|(flag, _)| flag)
-                .filter(|flag| flag.starts_with("--"))
+    fn every_flag_table_is_documented_and_rejects_bad_input() {
+        let usage = usage();
+        assert!(
+            usage.lines().all(|line| line.chars().count() <= 80),
+            "{usage}"
+        );
+        let mut tables = 0;
+        subcommands(|command, table, _| {
+            let specs: Vec<_> = (0..table.len())
+                .map(|i| {
+                    let flag = &table[i];
+                    let shown = flags::synopsis("", &table[i..=i]);
+                    (flag.name, flag.metavar.is_none(), flag.integer, shown)
+                })
                 .collect();
-            assert!(flags.len() >= 3, "{cmd}: parser arms not found");
-            for flag in flags {
-                assert!(tokens.contains(&flag), "usage() omits {cmd} {flag}");
+            tables += usize::from(!specs.is_empty());
+            let mut ok = |args: &[&str]| flags::parse(&flags::args(args), table).is_ok();
+            assert!(!ok(&["--bogus"]), "{command}");
+            for (name, switch, integer, shown) in specs {
+                assert!(usage.contains(&shown), "usage() omits {command}{shown}");
+                assert_eq!(ok(&[name]), switch, "{command} {name} alone");
+                let hex_only = ok(&[name, "0x10"]) && !ok(&[name, "lots"]);
+                assert!(!integer || hex_only, "{command} {name}");
             }
-        }
+        });
+        // verify, record, divergence, trace|metrics|profile, serve, fleet, leakage
+        assert_eq!(tables, 7);
     }
 
     #[test]
@@ -1244,9 +1229,7 @@ mod tests {
 
     #[test]
     fn verify_args_parse_and_reject_contradictions() {
-        let to_vec =
-            |args: &[&str]| -> Vec<String> { args.iter().map(|s| (*s).to_owned()).collect() };
-        let parsed = parse_verify_args(&to_vec(&[
+        let parsed = parse_verify_args(&flags::args(&[
             "--workloads",
             "--interprocedural",
             "--sarif",
@@ -1256,13 +1239,14 @@ mod tests {
         .unwrap();
         assert!(parsed.workloads && parsed.interprocedural && parsed.sarif);
         assert_eq!(parsed.baseline.as_deref(), Some("b.txt"));
-        let parsed = parse_verify_args(&to_vec(&["prog.s", "--key-symbol", "keyblob"])).unwrap();
+        let parsed =
+            parse_verify_args(&flags::args(&["prog.s", "--key-symbol", "keyblob"])).unwrap();
         assert_eq!(parsed.file.as_deref(), Some("prog.s"));
         assert_eq!(parsed.key_symbols, vec!["keyblob".to_owned()]);
-        assert!(parse_verify_args(&to_vec(&[])).is_err());
-        assert!(parse_verify_args(&to_vec(&["a.s", "--workloads"])).is_err());
-        assert!(parse_verify_args(&to_vec(&["a.s", "--json", "--sarif"])).is_err());
-        assert!(parse_verify_args(&to_vec(&["a.s", "--frobnicate"])).is_err());
+        assert!(parse_verify_args(&flags::args(&[])).is_err());
+        assert!(parse_verify_args(&flags::args(&["a.s", "--workloads"])).is_err());
+        assert!(parse_verify_args(&flags::args(&["a.s", "--json", "--sarif"])).is_err());
+        assert!(parse_verify_args(&flags::args(&["a.s", "--frobnicate"])).is_err());
     }
 
     #[test]

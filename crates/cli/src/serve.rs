@@ -7,12 +7,13 @@ use std::fmt::Write as _;
 use regvault_metrics::HistogramData;
 use regvault_server::{ServeConfig, ServeReport, Supervisor};
 
+use crate::flags::{self, Flag};
 use crate::json;
 use crate::json::Value;
 use crate::{parse_config, CliError};
 
 /// Parsed `serve` arguments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeArgs {
     /// Scenario configuration.
     pub config: ServeConfig,
@@ -23,77 +24,43 @@ pub struct ServeArgs {
     pub smoke: bool,
 }
 
+/// The `serve` flag table, writing into `args`.
+pub(crate) fn flag_table(args: &mut ServeArgs) -> Vec<Flag<'_>> {
+    let config = &mut args.config;
+    vec![
+        Flag::int("--tenants", "N", &mut config.tenants),
+        Flag::int("--requests", "N", &mut config.requests),
+        Flag::int("--rate", "CYCLES", &mut config.mean_interarrival),
+        Flag::int("--faults", "CYCLES", &mut config.fault_interval),
+        Flag::int("--seed", "S", &mut config.seed),
+        Flag::int("--queue-cap", "N", &mut config.queue_cap),
+        Flag::value("--config", "LABEL", |label| {
+            parse_config(label).map(|protection| config.protection = protection)
+        }),
+        Flag::action("--no-micro-reboot", || config.micro_reboot = false),
+        Flag::int("--deadline-factor", "K", &mut config.deadline_factor),
+        Flag::switch("--json", &mut args.json),
+        Flag::switch("--smoke", &mut args.smoke),
+    ]
+}
+
 /// Parses `serve` flags.
 ///
 /// # Errors
 ///
 /// Describes the offending flag or value.
 pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
-    let mut config = ServeConfig::default();
-    let mut json = false;
-    let mut smoke = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| -> Result<&String, CliError> {
-            it.next().ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        match flag.as_str() {
-            "--json" => json = true,
-            "--smoke" => smoke = true,
-            "--tenants" => {
-                config.tenants = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid tenant count".to_string())?;
-            }
-            "--requests" => {
-                config.requests = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid request count".to_string())?;
-            }
-            "--rate" => {
-                config.mean_interarrival = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid mean interarrival".to_string())?;
-            }
-            "--seed" => {
-                config.seed = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid seed".to_string())?;
-            }
-            "--faults" => {
-                config.fault_interval = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid fault interval".to_string())?;
-            }
-            "--queue-cap" => {
-                config.queue_cap = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid queue cap".to_string())?;
-            }
-            "--no-micro-reboot" => config.micro_reboot = false,
-            "--deadline-factor" => {
-                config.deadline_factor = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid deadline factor".to_string())?;
-            }
-            "--config" => {
-                config.protection = parse_config(value_of(flag)?)?;
-            }
-            other => return Err(format!("unknown serve flag `{other}`")),
-        }
-    }
-    if smoke {
+    let mut parsed = ServeArgs::default();
+    flags::parse_flags(args, &mut flag_table(&mut parsed))?;
+    let config = &mut parsed.config;
+    if parsed.smoke {
         // Short but adversarial: live faults on, small request budget.
         config.requests = config.requests.min(150);
         if config.fault_interval == 0 {
             config.fault_interval = 50_000;
         }
     }
-    Ok(ServeArgs {
-        config,
-        json,
-        smoke,
-    })
+    Ok(parsed)
 }
 
 /// The `{count, mean, p50, p90, p99}` summary of a cycle-latency histogram,
@@ -283,10 +250,7 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn s(args: &[&str]) -> Vec<String> {
-        args.iter().map(|a| (*a).to_owned()).collect()
-    }
+    use crate::flags::args as s;
 
     #[test]
     fn smoke_run_passes_the_gate() {

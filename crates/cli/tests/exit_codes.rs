@@ -314,3 +314,13 @@ fn every_json_subcommand_prints_one_parseable_document() {
         }
     }
 }
+
+/// Every integer flag goes through one parser: a hex value is the same
+/// number as its decimal spelling, down to the last byte of the report.
+#[test]
+fn hex_and_decimal_integer_flags_are_interchangeable() {
+    let hex = cli(&["serve", "--smoke", "--json", "--seed", "0xc0ffee00"]);
+    let dec = cli(&["serve", "--smoke", "--json", "--seed", "3237998080"]);
+    assert!(hex.status.success(), "{hex:?}");
+    assert_eq!(hex.stdout, dec.stdout);
+}

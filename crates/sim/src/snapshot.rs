@@ -9,13 +9,6 @@
 //! checksum; [`Snapshot::from_bytes`] rejects truncation, wrong magic,
 //! unknown versions, and checksum mismatches before any field is trusted.
 //!
-//! Two capture flavours exist:
-//!
-//! * [`Machine::snapshot`] — a full image;
-//! * [`Machine::snapshot_delta`] — only the pages that differ from a base
-//!   snapshot (checkpoint streams during long campaigns). A delta must be
-//!   [`Snapshot::rebase`]d onto its base before it can restore a machine.
-//!
 //! The companion [`Machine::arch_digest`] hashes the *architectural*
 //! subset of that state — registers, CSRs, keys, CLB, memory contents,
 //! cycle/retirement counters — and deliberately excludes microarchitectural
@@ -91,9 +84,6 @@ pub enum SnapshotError {
     /// A field held a value outside its domain (bad enum tag, oversized
     /// count).
     BadEncoding(&'static str),
-    /// A delta snapshot was used where a full one is required, or its base
-    /// digest did not match the supplied base.
-    DeltaBase,
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -107,29 +97,15 @@ impl std::fmt::Display for SnapshotError {
                 "snapshot checksum mismatch (expected {expected:#018x}, found {found:#018x})"
             ),
             Self::BadEncoding(what) => write!(f, "malformed snapshot field: {what}"),
-            Self::DeltaBase => write!(
-                f,
-                "delta snapshot requires its base (rebase before restoring)"
-            ),
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
 
-/// Whether a snapshot carries every page or only those changed from a base.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotKind {
-    /// Self-contained: restores on its own.
-    Full,
-    /// Dirty pages only; must be rebased onto the base it was taken against.
-    Delta,
-}
-
 /// A captured machine state (see the module docs for the format).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    pub(crate) kind: SnapshotKind,
     pub(crate) reference_datapath: bool,
     pub(crate) seed: u64,
     pub(crate) regs: [u64; 32],
@@ -151,7 +127,6 @@ pub struct Snapshot {
     pub(crate) fault_pending: Vec<FaultSpec>,
     pub(crate) fault_applied: Vec<AppliedFault>,
     pub(crate) digest: u64,
-    pub(crate) base_digest: Option<u64>,
     /// `(page_number, write_generation, contents)`, sorted by page number.
     ///
     /// Contents are reference-counted: capturing a snapshot shares the
@@ -162,22 +137,10 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Full or delta?
-    #[must_use]
-    pub fn kind(&self) -> SnapshotKind {
-        self.kind
-    }
-
     /// The architectural digest of the machine at capture time.
     #[must_use]
     pub fn digest(&self) -> u64 {
         self.digest
-    }
-
-    /// Retired-instruction count at capture time.
-    #[must_use]
-    pub fn instret(&self) -> u64 {
-        self.stats.instret
     }
 
     /// Number of memory pages carried by this snapshot.
@@ -229,46 +192,14 @@ impl Snapshot {
         out
     }
 
-    /// Merges a delta snapshot onto the full base it was captured against,
-    /// yielding a self-contained full snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::DeltaBase`] if `self` is not a delta, `base` is not
-    /// full, or the base's digest does not match the one recorded when the
-    /// delta was taken.
-    pub fn rebase(&self, base: &Snapshot) -> Result<Snapshot, SnapshotError> {
-        if self.kind != SnapshotKind::Delta
-            || base.kind != SnapshotKind::Full
-            || self.base_digest != Some(base.digest)
-        {
-            return Err(SnapshotError::DeltaBase);
-        }
-        let mut merged = self.clone();
-        merged.kind = SnapshotKind::Full;
-        merged.base_digest = None;
-        // Base pages not shadowed by a dirty page carry over unchanged.
-        let mut pages = base.pages.clone();
-        for dirty in &self.pages {
-            match pages.binary_search_by_key(&dirty.0, |p| p.0) {
-                Ok(i) => pages[i] = dirty.clone(),
-                Err(i) => pages.insert(i, dirty.clone()),
-            }
-        }
-        merged.pages = pages;
-        Ok(merged)
-    }
-
     /// Serializes to the versioned, checksummed binary format.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(1024 + self.pages.len() * (PAGE_BYTES + 16));
         out.extend_from_slice(&MAGIC);
         put_u16(&mut out, VERSION);
-        out.push(match self.kind {
-            SnapshotKind::Full => 0,
-            SnapshotKind::Delta => 1,
-        });
+        // Kind byte: 0 = full, the only kind there is.
+        out.push(0);
         out.push(u8::from(self.reference_datapath));
         put_u64(&mut out, self.seed);
         for reg in self.regs {
@@ -362,7 +293,8 @@ impl Snapshot {
             });
         }
         put_u64(&mut out, self.digest);
-        put_opt_u64(&mut out, self.base_digest);
+        // Base digest: always absent, since a full snapshot has no base.
+        put_opt_u64(&mut out, None);
         put_u32(&mut out, self.pages.len() as u32);
         for (no, gen, data) in &self.pages {
             put_u64(&mut out, *no);
@@ -398,11 +330,9 @@ impl Snapshot {
             return Err(SnapshotError::BadChecksum { expected, found });
         }
         let mut r = Reader::new(&payload[6..]);
-        let kind = match r.u8()? {
-            0 => SnapshotKind::Full,
-            1 => SnapshotKind::Delta,
-            _ => return Err(SnapshotError::BadEncoding("snapshot kind")),
-        };
+        if r.u8()? != 0 {
+            return Err(SnapshotError::BadEncoding("snapshot kind"));
+        }
         let reference_datapath = match r.u8()? {
             0 => false,
             1 => true,
@@ -518,7 +448,9 @@ impl Snapshot {
             });
         }
         let digest = r.u64()?;
-        let base_digest = r.opt_u64()?;
+        if r.opt_u64()?.is_some() {
+            return Err(SnapshotError::BadEncoding("base digest"));
+        }
         let page_count = r.u32()? as usize;
         let mut pages = Vec::with_capacity(page_count.min(65536));
         for _ in 0..page_count {
@@ -534,7 +466,6 @@ impl Snapshot {
             return Err(SnapshotError::BadEncoding("trailing bytes"));
         }
         Ok(Snapshot {
-            kind,
             reference_datapath,
             seed,
             regs,
@@ -556,7 +487,6 @@ impl Snapshot {
             fault_pending,
             fault_applied,
             digest,
-            base_digest,
             pages,
         })
     }
@@ -682,53 +612,18 @@ impl Machine {
     /// Captures a full snapshot of the machine's state.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        self.snapshot_inner(None)
-    }
-
-    /// Captures a delta snapshot against `base`: only pages whose write
-    /// generation or contents differ from the base are stored. Rebase onto
-    /// the same base before restoring.
-    #[must_use]
-    pub fn snapshot_delta(&self, base: &Snapshot) -> Snapshot {
-        self.snapshot_inner(Some(base))
-    }
-
-    fn snapshot_inner(&self, base: Option<&Snapshot>) -> Snapshot {
         let keys = self.engine.key_file().raw_keys();
         let (epochs, nonce_ctr) = self.engine.epoch_state();
         let clb = self.engine.clb();
-        let pages = self.mem.page_entries();
         // Capture shares the machine's pages (Arc clone, no copy); the
         // machine's next write to any page copies it out from under us.
-        let stored_pages: Vec<(u64, u64, Arc<PageData>)> = match base {
-            None => pages
-                .iter()
-                .map(|&(no, gen, data)| (no, gen, Arc::clone(data)))
-                .collect(),
-            Some(base) => pages
-                .iter()
-                .filter(|&&(no, gen, data)| {
-                    match base.pages.binary_search_by_key(&no, |p| p.0) {
-                        // Pointer equality proves unchanged contents without
-                        // touching the 4 KiB; fall back to the byte compare
-                        // for pages rewritten with identical bytes.
-                        Ok(i) => {
-                            base.pages[i].1 != gen
-                                || (!Arc::ptr_eq(&base.pages[i].2, data)
-                                    && base.pages[i].2[..] != data[..])
-                        }
-                        Err(_) => true,
-                    }
-                })
-                .map(|&(no, gen, data)| (no, gen, Arc::clone(data)))
-                .collect(),
-        };
+        let pages = self
+            .mem
+            .page_entries()
+            .iter()
+            .map(|&(no, gen, data)| (no, gen, Arc::clone(data)))
+            .collect();
         Snapshot {
-            kind: if base.is_some() {
-                SnapshotKind::Delta
-            } else {
-                SnapshotKind::Full
-            },
             reference_datapath: self.engine.is_reference(),
             seed: self.seed,
             regs: self.hart.regs(),
@@ -758,8 +653,7 @@ impl Machine {
                 .map(|plan| plan.applied().to_vec())
                 .unwrap_or_default(),
             digest: self.arch_digest(),
-            base_digest: base.map(|b| b.digest),
-            pages: stored_pages,
+            pages,
         }
     }
 
@@ -768,15 +662,7 @@ impl Machine {
     /// flavour), statistics, timer, watchdog, and fault plan. The decode
     /// cache is cleared (it is derived state; page write generations are
     /// restored so its lazy invalidation stays sound).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::DeltaBase`] if `snapshot` is a delta — rebase it
-    /// first.
-    pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
-        if snapshot.kind != SnapshotKind::Full {
-            return Err(SnapshotError::DeltaBase);
-        }
+    pub fn restore(&mut self, snapshot: &Snapshot) {
         self.seed = snapshot.seed;
         self.hart.restore(
             snapshot.regs,
@@ -831,26 +717,6 @@ impl Machine {
                 snapshot.fault_applied.clone(),
             ))
         };
-        Ok(())
-    }
-
-    /// Builds a fresh machine from a full snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::DeltaBase`] for delta snapshots.
-    pub fn from_snapshot(snapshot: &Snapshot) -> Result<Machine, SnapshotError> {
-        let mut machine = Machine::new(crate::machine::MachineConfig {
-            clb_entries: snapshot.clb_capacity,
-            cost: snapshot.cost,
-            seed: snapshot.seed,
-            timer_interval: snapshot.timer_interval,
-            reference_datapath: snapshot.reference_datapath,
-            epoch_rekey: snapshot.epoch_rekey,
-            ..crate::machine::MachineConfig::default()
-        });
-        machine.restore(snapshot)?;
-        Ok(machine)
     }
 
     /// Forks a machine from a warm snapshot, SnapStart-style.
@@ -863,15 +729,22 @@ impl Machine {
     /// pays only for the pages it actually dirties. `Machine` is `Send`,
     /// so forks can be handed straight to worker threads.
     ///
-    /// Semantically identical to [`Machine::from_snapshot`] (which shares
-    /// pages the same way since the CoW store landed); this entry point
-    /// exists to name the fleet idiom and anchor its cost contract.
-    ///
     /// # Errors
     ///
-    /// [`SnapshotError::DeltaBase`] for delta snapshots — rebase first.
+    /// None: every snapshot that decodes restores. The `Result` stays in
+    /// the signature the fleet and the benchmark harness match on.
     pub fn fork_from(snapshot: &Snapshot) -> Result<Machine, SnapshotError> {
-        Machine::from_snapshot(snapshot)
+        let mut machine = Machine::new(crate::machine::MachineConfig {
+            clb_entries: snapshot.clb_capacity,
+            cost: snapshot.cost,
+            seed: snapshot.seed,
+            timer_interval: snapshot.timer_interval,
+            reference_datapath: snapshot.reference_datapath,
+            epoch_rekey: snapshot.epoch_rekey,
+            ..crate::machine::MachineConfig::default()
+        });
+        machine.restore(snapshot);
+        Ok(machine)
     }
 
     /// Number of this machine's pages whose contents have diverged from
@@ -1007,7 +880,7 @@ mod tests {
     fn restore_reproduces_arch_digest() {
         let machine = busy_machine();
         let snap = machine.snapshot();
-        let restored = Machine::from_snapshot(&snap).unwrap();
+        let restored = Machine::fork_from(&snap).unwrap();
         assert_eq!(machine.arch_digest(), restored.arch_digest());
         assert_eq!(machine.stats(), restored.stats());
     }
@@ -1051,24 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_rebase_matches_full() {
-        let mut machine = busy_machine();
-        let base = machine.snapshot();
-        // Touch one page; the delta should carry only what changed.
-        machine.memory_mut().write_u64(0x9000, 0x1234).unwrap();
-        machine.memory_mut().write_u64(0xA000, 0x5678).unwrap();
-        let full = machine.snapshot();
-        let delta = machine.snapshot_delta(&base);
-        assert!(delta.page_count() < full.page_count() || full.page_count() <= 2);
-        let rebased = delta.rebase(&base).unwrap();
-        assert_eq!(rebased, full);
-        assert_eq!(
-            Machine::from_snapshot(&rebased).unwrap().arch_digest(),
-            machine.arch_digest()
-        );
-    }
-
-    #[test]
     fn epoch_state_round_trips_through_snapshots() {
         let mut machine = Machine::new(MachineConfig {
             epoch_rekey: true,
@@ -1081,7 +936,7 @@ mod tests {
         let snap = machine.snapshot();
         let decoded = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(snap, decoded);
-        let restored = Machine::from_snapshot(&decoded).unwrap();
+        let restored = Machine::fork_from(&decoded).unwrap();
         assert!(restored.epoch_rekey());
         assert_eq!(
             restored.engine().epoch(KeyReg::C),
@@ -1140,16 +995,5 @@ mod tests {
             1
         );
         assert!(after.changed_words(&after).is_empty());
-    }
-
-    #[test]
-    fn delta_restore_without_rebase_is_refused() {
-        let mut machine = busy_machine();
-        let base = machine.snapshot();
-        machine.memory_mut().write_u64(0x9000, 1).unwrap();
-        let delta = machine.snapshot_delta(&base);
-        assert_eq!(machine.restore(&delta), Err(SnapshotError::DeltaBase));
-        let other = Machine::new(MachineConfig::default()).snapshot();
-        assert_eq!(delta.rebase(&other), Err(SnapshotError::DeltaBase));
     }
 }

@@ -82,7 +82,7 @@ fn in_place_restore_keeps_only_the_snapshotted_counts() {
     let cold = machine.snapshot();
     machine.run_until_break(100_000).expect("loop finishes");
     assert!(metric(&machine, "superblock_hits") > 0, "the tier engaged");
-    machine.restore(&cold).expect("cold snapshot is full");
+    machine.restore(&cold);
     assert_eq!(machine.engine().clb().stats().hits, 0);
     assert_clb_exported(&machine);
     let metrics = machine.metrics_snapshot();

@@ -6,8 +6,8 @@
 //! * snapshots survive a serialize/deserialize round trip;
 //! * a recorded run replays bit-for-bit on a fresh machine from its event
 //!   log alone;
-//! * corrupted or truncated snapshot bytes are always rejected, never
-//!   silently restored.
+//! * corrupted or truncated snapshot bytes, and streams with an unknown
+//!   kind byte, are always rejected, never silently restored.
 
 use proptest::prelude::*;
 use regvault_isa::{asm, KeyReg};
@@ -113,6 +113,14 @@ fn fault_kind() -> impl Strategy<Value = FaultKind> {
     ]
 }
 
+/// Rewrites the trailing FNV-1a-64 checksum so an edited payload decodes.
+fn reseal(bytes: &mut [u8]) {
+    let (payload, tail) = bytes.split_at_mut(bytes.len() - 8);
+    let fnv = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
+    let hash = payload.iter().fold(0xcbf2_9ce4_8422_2325, fnv);
+    tail.copy_from_slice(&hash.to_le_bytes());
+}
+
 fn plan_from(faults: &[(u64, FaultKind)]) -> FaultPlan {
     let mut plan = FaultPlan::new();
     for (instret, kind) in faults {
@@ -163,7 +171,7 @@ proptest! {
         let decoded = Snapshot::from_bytes(&bytes).expect("snapshot decodes");
         prop_assert_eq!(decoded.digest(), snap.digest());
 
-        let mut restored = Machine::from_snapshot(&decoded).expect("snapshot restores");
+        let mut restored = Machine::fork_from(&decoded).expect("snapshot restores");
         prop_assert_eq!(restored.arch_digest(), original.arch_digest());
 
         if !terminal {
@@ -215,6 +223,16 @@ proptest! {
         let pos = (pos % bytes.len() as u64) as usize;
         bytes[pos] ^= mask;
         prop_assert!(Snapshot::from_bytes(&bytes).is_err());
+
+        // Kind byte 1 names no snapshot kind: even with a valid checksum
+        // the stream is refused as an encoding error, never restored.
+        let mut delta = machine.snapshot().to_bytes();
+        delta[6] = 1;
+        reseal(&mut delta);
+        prop_assert!(matches!(
+            Snapshot::from_bytes(&delta),
+            Err(SnapshotError::BadEncoding("snapshot kind"))
+        ));
     }
 
     /// Truncated snapshots are rejected at any cut point.
