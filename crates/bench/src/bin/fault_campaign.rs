@@ -63,6 +63,7 @@ use regvault_kernel::cred::{CredField, EUID_OFFSET};
 use regvault_kernel::fs::{handlers, FileOp};
 use regvault_kernel::layout::KERNEL_TEXT_BASE;
 use regvault_kernel::{trap, Kernel, KernelConfig, KernelError, ProtectionConfig};
+use regvault_qarma::tweak::splitmix64;
 use regvault_sim::{shrink_events, EventLog, FaultKind, ReproBundle};
 
 /// Per-trial classification (most severe last).
@@ -382,14 +383,6 @@ fn classify(kernel: &mut Kernel, exercise: &Exercise) -> Verdict {
             Ok(()) => Verdict::Masked,
         },
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Independent RNG seed for one trial within a `(config, class)` stream.

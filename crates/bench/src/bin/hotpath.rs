@@ -1,176 +1,114 @@
-//! Hot-path perf-trajectory harness.
+//! Hot-path perf guards.
 //!
-//! Measures the three datapaths this repository optimizes — the QARMA-64
-//! block cipher, the CLB, and the simulator's fetch/execute loop — and
-//! writes the results to `BENCH_hotpath.json` at the repository root, next
-//! to the hard-coded pre-optimization baselines captured on the seed tree.
-//! This file *is* the perf trajectory: each PR that touches a hot path
-//! regenerates it, and `scripts/check.sh` compares fresh numbers against the
-//! checked-in ones to catch silent regressions.
+//! Per-layer host unit costs (QARMA, CLB, crypto engine, interpreter tiers,
+//! fork and digest) are measured by the repository benchmark in
+//! `perfbench/`, whose `--trace 1` ledger is the one place they live. This
+//! binary keeps what that benchmark does not provide: the end-to-end guest
+//! throughput rows that `scripts/check.sh` guards. Every row boots a kernel
+//! and runs one guest to completion, and the boot plus the run is timed.
 //!
 //! Modes:
 //!
 //! * default — full measurement, rewrites `BENCH_hotpath.json`;
 //! * `--quick` — abbreviated measurement, prints but does not write;
-//! * `--check` — abbreviated end-to-end measurement compared against the
-//!   checked-in JSON with a generous 2x tolerance; exits non-zero on
-//!   regression (machine-speed differences stay inside the tolerance, a
-//!   broken hot path does not).
+//! * `--check` — abbreviated measurement compared against the checked-in
+//!   JSON with a generous 2x tolerance; exits 1 on a regression or when a
+//!   guarded row ([`HOTPATH_GUARDED_PATHS`]) is missing (machine-speed
+//!   differences stay inside the tolerance, a broken hot path does not).
 
-use std::time::{Duration, Instant};
+use std::process::exit;
+use std::time::Instant;
 
-use criterion::{black_box, Criterion};
-use regvault_bench::repo_root;
+use regvault_bench::{repo_root, HOTPATH_GUARDED_PATHS};
 use regvault_cli::flags::{self, Flag};
 use regvault_cli::json;
 use regvault_cli::json::Value;
-use regvault_isa::{ByteRange, KeyReg};
 use regvault_kernel::{Kernel, KernelConfig, ProtectionConfig};
-use regvault_qarma::{reference::Reference, Key, Qarma64};
-use regvault_sim::{Clb, CryptoEngine, MachineConfig, NullTracer, RingTracer, Tracer};
+use regvault_sim::{MachineConfig, NullTracer, RingTracer, Tracer};
 use regvault_workloads::{
-    lmbench::Lmbench, measure, unixbench::UnixBench, Workload, STEP_BUDGET, TIMER_INTERVAL,
+    lmbench::Lmbench, unixbench::UnixBench, Workload, STEP_BUDGET, TIMER_INTERVAL,
 };
 
-/// Published QARMA test-vector inputs; any fixed block works for timing.
-const W0: u64 = 0x84be85ce9804e94b;
-const K0: u64 = 0xec2802d4e0a488e9;
-const TWEAK: u64 = 0x477d469dec0b8762;
-const PLAINTEXT: u64 = 0xfb623599da6e8127;
+/// dhry2 on the single-step interpreter, measured immediately before the
+/// superblock tier landed; the tier's acceptance floor is 2x this.
+const PRE_SUPERBLOCK_DHRY2_OFF_STEPS_PER_SEC: f64 = 73.679e6;
 
-/// Pre-optimization numbers measured on the seed tree (same harness shape,
-/// same host class). These are the "before" column of the perf trajectory.
-const BASELINE: [(&str, f64); 7] = [
-    ("seed_qarma_encrypt_ns", 626.0),
-    ("seed_qarma_decrypt_ns", 629.0),
-    ("seed_engine_encrypt_miss_ns", 616.0),
-    ("seed_clb_hit_lookup_ns", 4.0),
-    ("seed_unixbench_syscall_off_steps_per_sec", 142.748e6),
-    ("seed_unixbench_syscall_full_steps_per_sec", 137.604e6),
-    // dhry2 on the single-step interpreter, measured immediately before the
-    // superblock tier landed; the tier's acceptance floor is 2x this.
-    ("pre_superblock_dhry2_off_steps_per_sec", 73.679e6),
-];
-
-fn baseline(key: &str) -> f64 {
-    BASELINE
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| *v)
-        .expect("known baseline key")
-}
-
-/// Wall-clock steps/sec for one workload+config: best of `runs` timed runs
-/// (best-of smooths scheduler noise without averaging in cold-cache runs).
-fn steps_per_sec(workload: &dyn Workload, config: ProtectionConfig, runs: usize) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..runs {
-        let start = Instant::now();
-        let m = measure(workload, config, 8).expect("workload runs");
-        let elapsed = start.elapsed().as_secs_f64();
-        let rate = m.instret as f64 / elapsed;
-        if rate > best {
-            best = rate;
-        }
+/// The machine every row runs on: the paper's 8-entry CLB.
+fn machine() -> MachineConfig {
+    MachineConfig {
+        clb_entries: 8,
+        ..MachineConfig::default()
     }
-    best
 }
 
-fn ns(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e9
-}
-
-/// One instrumented dhry2 run: superblock tier counters after the guest
-/// completes (hit rate and tier coverage are properties of the trace shape,
-/// not of wall-clock, so a single run suffices).
-fn superblock_profile(workload: &dyn Workload) -> (regvault_sim::SuperblockStats, u64) {
+/// One guest run: boots a kernel, loads `workload`, zeroes the counters
+/// when `reset_stats` (the throughput rows count only the guest's
+/// instructions), installs `tracer` and runs to completion. Returns the
+/// kernel and the boot-plus-run wall time in seconds.
+fn run_guest(
+    workload: &dyn Workload,
+    protection: ProtectionConfig,
+    machine: MachineConfig,
+    tracer: Option<Box<dyn Tracer>>,
+    reset_stats: bool,
+) -> (Kernel, f64) {
+    let start = Instant::now();
     let mut kernel = Kernel::boot(KernelConfig {
-        protection: ProtectionConfig::off(),
-        machine: MachineConfig {
-            clb_entries: 8,
-            ..MachineConfig::default()
-        },
+        protection,
+        machine,
         timer_interval: Some(TIMER_INTERVAL),
     })
     .expect("kernel boots");
     let (image, entry) = workload.program();
-    kernel
+    if reset_stats {
+        kernel.machine_mut().reset_stats();
+    }
+    if let Some(tracer) = tracer {
+        kernel.machine_mut().install_tracer(tracer);
+    }
+    let result = kernel
         .run_user(&image, entry, STEP_BUDGET)
         .expect("workload runs");
-    (
-        kernel.machine().superblock_stats(),
-        kernel.machine().stats().instret,
-    )
+    let secs = start.elapsed().as_secs_f64();
+    let expected = workload.expected().unwrap_or(result);
+    assert_eq!(result, expected, "{} result", workload.name());
+    (kernel, secs)
 }
 
-/// Like [`steps_per_sec`] but with a tracer installed on the machine before
-/// the run (`make` returning `None` is the tracing-off control, measured
-/// with the identical harness so the off/on delta isolates the hook cost).
-fn steps_per_sec_tracer(
+/// Wall-clock steps/sec: best of `runs` timed runs (best-of smooths
+/// scheduler noise without averaging in cold-cache runs). `tracer` builds
+/// the sink installed on each run; `None` is the untraced datapath.
+fn steps_per_sec(
     workload: &dyn Workload,
-    config: ProtectionConfig,
+    protection: ProtectionConfig,
+    machine: MachineConfig,
     runs: usize,
-    make: &dyn Fn() -> Option<Box<dyn Tracer>>,
+    tracer: &dyn Fn() -> Option<Box<dyn Tracer>>,
 ) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..runs {
-        let start = Instant::now();
-        let mut kernel = Kernel::boot(KernelConfig {
-            protection: config,
-            machine: MachineConfig {
-                clb_entries: 8,
-                ..MachineConfig::default()
-            },
-            timer_interval: Some(TIMER_INTERVAL),
+    (0..runs)
+        .map(|_| {
+            let (kernel, secs) = run_guest(workload, protection, machine, tracer(), true);
+            kernel.machine().stats().instret as f64 / secs
         })
-        .expect("kernel boots");
-        let (image, entry) = workload.program();
-        kernel.machine_mut().reset_stats();
-        if let Some(tracer) = make() {
-            kernel.machine_mut().install_tracer(tracer);
-        }
-        kernel
-            .run_user(&image, entry, STEP_BUDGET)
-            .expect("workload runs");
-        let elapsed = start.elapsed().as_secs_f64();
-        let rate = kernel.machine().stats().instret as f64 / elapsed;
-        if rate > best {
-            best = rate;
-        }
-    }
-    best
+        .fold(0.0, f64::max)
 }
 
-/// Like [`steps_per_sec`] under full protection but with the epoch-rekey
-/// mitigation on ([`MachineConfig::epoch_rekey`]): each context save
-/// issues a fresh nonce and an extra 8-byte store, each restore an extra
-/// load — the ciphertext side-channel fix's end-to-end cost.
-fn steps_per_sec_rekey(workload: &dyn Workload, runs: usize) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..runs {
-        let start = Instant::now();
-        let mut kernel = Kernel::boot(KernelConfig {
-            protection: ProtectionConfig::full(),
-            machine: MachineConfig {
-                clb_entries: 8,
-                epoch_rekey: true,
-                ..MachineConfig::default()
-            },
-            timer_interval: Some(TIMER_INTERVAL),
-        })
-        .expect("kernel boots");
-        let (image, entry) = workload.program();
-        kernel.machine_mut().reset_stats();
-        kernel
-            .run_user(&image, entry, STEP_BUDGET)
-            .expect("workload runs");
-        let elapsed = start.elapsed().as_secs_f64();
-        let rate = kernel.machine().stats().instret as f64 / elapsed;
-        if rate > best {
-            best = rate;
-        }
-    }
-    best
+/// [`steps_per_sec`] without a tracer, the shape of most rows.
+fn rate(workload: &dyn Workload, protection: ProtectionConfig, runs: usize) -> f64 {
+    steps_per_sec(workload, protection, machine(), runs, &|| None)
+}
+
+/// Full protection with the epoch-rekey mitigation on
+/// ([`MachineConfig::epoch_rekey`]): each context save issues a fresh
+/// nonce and an extra 8-byte store, each restore an extra load — the
+/// ciphertext side-channel fix's end-to-end cost.
+fn rekey_rate(runs: usize) -> f64 {
+    let machine = MachineConfig {
+        epoch_rekey: true,
+        ..machine()
+    };
+    let full = ProtectionConfig::full();
+    steps_per_sec(&UnixBench::Syscall, full, machine, runs, &|| None)
 }
 
 /// Interleaved best-of measurement for the tracing section: every round
@@ -183,12 +121,12 @@ fn tracing_rates(rounds: usize) -> (f64, f64, f64, f64) {
     let cfg = ProtectionConfig::off();
     let (mut base, mut off, mut null, mut ring) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     for _ in 0..rounds {
-        base = base.max(steps_per_sec(wl, cfg, 1));
-        off = off.max(steps_per_sec_tracer(wl, cfg, 1, &|| None));
-        null = null.max(steps_per_sec_tracer(wl, cfg, 1, &|| {
+        base = base.max(rate(wl, cfg, 1));
+        off = off.max(steps_per_sec(wl, cfg, machine(), 1, &|| None));
+        null = null.max(steps_per_sec(wl, cfg, machine(), 1, &|| {
             Some(Box::new(NullTracer))
         }));
-        ring = ring.max(steps_per_sec_tracer(wl, cfg, 1, &|| {
+        ring = ring.max(steps_per_sec(wl, cfg, machine(), 1, &|| {
             Some(Box::new(RingTracer::new(65_536)))
         }));
     }
@@ -210,97 +148,31 @@ fn main() {
         return;
     }
 
-    let (sample_time, runs) = if quick {
-        (Duration::from_millis(60), 2)
-    } else {
-        // Long windows: the published JSON is only as good as its noise
-        // floor, and on a shared host the reference/optimized ratio needs
-        // multi-second samples to settle.
-        (Duration::from_secs(2), 4)
-    };
-    let mut criterion = Criterion::default()
-        .sample_size(if quick { 4 } else { 20 })
-        .measurement_time(sample_time)
-        .warm_up_time(Duration::from_millis(if quick { 20 } else { 500 }));
-
-    let key = Key::new(W0, K0);
-
-    // --- QARMA single-block: reference vs optimized ---------------------
-    // Throughput shape (independent blocks per iteration): successive
-    // blocks overlap in the pipeline, which is exactly what blocks/sec
-    // means in steady state. The latency-chained shape lives in
-    // `benches/qarma.rs` alongside this one.
-    let reference = Reference::new(key);
-    let ref_enc = criterion.bench_timed("qarma/reference_encrypt", |b| {
-        b.iter(|| reference.encrypt(black_box(PLAINTEXT), black_box(TWEAK)))
-    });
-    let cipher = Qarma64::new(key);
-    let opt_enc = criterion.bench_timed("qarma/optimized_encrypt", |b| {
-        b.iter(|| cipher.encrypt(black_box(PLAINTEXT), black_box(TWEAK)))
-    });
-    let opt_dec = criterion.bench_timed("qarma/optimized_decrypt", |b| {
-        b.iter(|| cipher.decrypt(black_box(PLAINTEXT), black_box(TWEAK)))
-    });
-    let schedule = criterion.bench_timed("qarma/key_schedule_construction", |b| {
-        b.iter(|| Qarma64::new(black_box(key)))
-    });
-
-    // --- CLB lookup latency ---------------------------------------------
-    let mut clb = Clb::new(64);
-    for i in 0..64u64 {
-        clb.insert(1, i, i.wrapping_mul(0x9E37), i ^ 0xAAAA);
-    }
-    let mut probe = 0u64;
-    let clb_hit = criterion.bench_timed("clb/hit_lookup", |b| {
-        b.iter(|| {
-            probe = (probe + 1) & 63;
-            clb.lookup_encrypt(1, probe, probe.wrapping_mul(0x9E37))
-        })
-    });
-    let mut miss_tweak = 1u64 << 32;
-    let clb_miss = criterion.bench_timed("clb/miss_plus_insert", |b| {
-        b.iter(|| {
-            miss_tweak += 1;
-            if clb.lookup_encrypt(1, miss_tweak, 7).is_none() {
-                clb.insert(1, miss_tweak, 7, miss_tweak ^ 0x5555);
-            }
-        })
-    });
-
-    // --- Crypto-engine full datapath (CLB disabled => always QARMA) -----
-    let mut engine = CryptoEngine::new(0, 42);
-    engine.key_file_mut().set_key(KeyReg::A, key);
-    let mut etweak = 0u64;
-    let engine_miss = criterion.bench_timed("engine/encrypt_clb_off", |b| {
-        b.iter(|| {
-            etweak += 8;
-            engine.encrypt(KeyReg::A, etweak, black_box(PLAINTEXT), ByteRange::FULL)
-        })
-    });
-
-    // --- End-to-end simulation ------------------------------------------
+    let runs = if quick { 2 } else { 4 };
     println!("running end-to-end workloads ({runs} runs each)...");
-    let ub_off = steps_per_sec(&UnixBench::Syscall, ProtectionConfig::off(), runs);
-    let ub_full = steps_per_sec(&UnixBench::Syscall, ProtectionConfig::full(), runs);
-    let ub_dhry = steps_per_sec(&UnixBench::Dhry2, ProtectionConfig::off(), runs);
-    let ub_dhry_full = steps_per_sec(&UnixBench::Dhry2, ProtectionConfig::full(), runs);
-    let lm_off = steps_per_sec(&Lmbench::Null, ProtectionConfig::off(), runs);
-    let lm_full = steps_per_sec(&Lmbench::Null, ProtectionConfig::full(), runs);
+    let (off, full) = (ProtectionConfig::off(), ProtectionConfig::full());
+    let ub_off = rate(&UnixBench::Syscall, off, runs);
+    let ub_full = rate(&UnixBench::Syscall, full, runs);
+    let ub_dhry = rate(&UnixBench::Dhry2, off, runs);
+    let ub_dhry_full = rate(&UnixBench::Dhry2, full, runs);
+    let lm_off = rate(&Lmbench::Null, off, runs);
+    let lm_full = rate(&Lmbench::Null, full, runs);
     // Epoch-rekey mitigation A/B, interleaved with a fresh full-protection
     // control so host-load drift hits both sides equally.
     let (mut full_ctl, mut full_rekey) = (0.0f64, 0.0f64);
     for _ in 0..runs.max(4) {
-        full_ctl = full_ctl.max(steps_per_sec(
-            &UnixBench::Syscall,
-            ProtectionConfig::full(),
-            1,
-        ));
-        full_rekey = full_rekey.max(steps_per_sec_rekey(&UnixBench::Syscall, 1));
+        full_ctl = full_ctl.max(rate(&UnixBench::Syscall, full, 1));
+        full_rekey = full_rekey.max(rekey_rate(1));
     }
     let rekey_overhead_pct = (1.0 - full_rekey / full_ctl) * 100.0;
-    let (sb, sb_instret) = superblock_profile(&UnixBench::Dhry2);
+    // One instrumented dhry2 run: hit rate and tier coverage are properties
+    // of the trace shape, not of wall clock, so a single run suffices. Its
+    // counters run from boot (no reset): the committed `superblock.*` rows
+    // are defined over the whole run, and a reset also rearms the timer.
+    let (sb_kernel, _) = run_guest(&UnixBench::Dhry2, off, machine(), None, false);
+    let sb = sb_kernel.machine().superblock_stats();
     // Fraction of all retired instructions that went through a superblock.
-    let sb_coverage = sb.insns as f64 / sb_instret.max(1) as f64;
+    let sb_coverage = sb.insns as f64 / sb_kernel.machine().stats().instret.max(1) as f64;
 
     // --- Tracing overhead (DESIGN.md §11) -------------------------------
     // Same harness, three sinks: no tracer (the zero-cost-off claim), a
@@ -328,26 +200,16 @@ fn main() {
         tracing_off_overhead_pct = tracing_off_overhead_pct.min((1.0 - off2 / base2) * 100.0);
     }
 
-    let qarma_speedup_vs_reference = ns(ref_enc) / ns(opt_enc);
-    let qarma_speedup_vs_seed = baseline("seed_qarma_encrypt_ns") / ns(opt_enc);
-    let e2e_off_speedup = ub_off / baseline("seed_unixbench_syscall_off_steps_per_sec");
-    let e2e_full_speedup = ub_full / baseline("seed_unixbench_syscall_full_steps_per_sec");
-    let dhry_speedup = ub_dhry / baseline("pre_superblock_dhry2_off_steps_per_sec");
-
     println!();
     println!(
-        "QARMA encrypt: reference {:.0} ns, optimized {:.1} ns ({qarma_speedup_vs_reference:.1}x vs reference, {qarma_speedup_vs_seed:.1}x vs seed)",
-        ns(ref_enc),
-        ns(opt_enc)
-    );
-    println!(
-        "unixbench syscall: off {:.1}M steps/s ({e2e_off_speedup:.1}x vs seed), full {:.1}M steps/s ({e2e_full_speedup:.1}x vs seed)",
+        "unixbench syscall: off {:.1}M steps/s, full {:.1}M steps/s",
         ub_off / 1e6,
         ub_full / 1e6
     );
     println!(
-        "unixbench dhry2: off {:.1}M steps/s ({dhry_speedup:.2}x vs pre-superblock interpreter), full {:.1}M steps/s",
+        "unixbench dhry2: off {:.1}M steps/s ({:.2}x vs pre-superblock interpreter), full {:.1}M steps/s",
         ub_dhry / 1e6,
+        ub_dhry / PRE_SUPERBLOCK_DHRY2_OFF_STEPS_PER_SEC,
         ub_dhry_full / 1e6
     );
     println!(
@@ -367,24 +229,12 @@ fn main() {
         full_ctl / 1e6
     );
 
-    let baseline_rows = BASELINE
-        .iter()
-        .map(|(k, v)| (k.to_string(), Value::Num(*v)));
     let doc = json!({
-        "schema": "regvault-hotpath/v1",
-        "description": "Hot-path perf trajectory: QARMA datapath, CLB, fetch/execute loop. \
-                        Baselines are the pre-optimization seed tree.",
-        "baseline": Value::Obj(baseline_rows.collect()),
+        "schema": "regvault-hotpath/v2",
+        "description": "Hot-path perf guards: end-to-end guest steps/s (boot plus run) \
+                        and superblock tier counters. Per-layer unit costs live in the \
+                        perfbench --trace 1 ledger.",
         "current": json!({
-            "qarma_reference_encrypt_ns": ns(ref_enc),
-            "qarma_optimized_encrypt_ns": ns(opt_enc),
-            "qarma_optimized_decrypt_ns": ns(opt_dec),
-            "qarma_reference_blocks_per_sec": 1e9 / ns(ref_enc),
-            "qarma_optimized_blocks_per_sec": 1e9 / ns(opt_enc),
-            "qarma_key_schedule_ns": ns(schedule),
-            "clb_hit_lookup_ns": ns(clb_hit),
-            "clb_miss_insert_ns": ns(clb_miss),
-            "engine_encrypt_miss_ns": ns(engine_miss),
             "unixbench_syscall_off_steps_per_sec": ub_off,
             "unixbench_syscall_full_steps_per_sec": ub_full,
             "unixbench_dhry2_off_steps_per_sec": ub_dhry,
@@ -413,13 +263,6 @@ fn main() {
             "tracing_null_overhead_pct": tracing_null_overhead_pct,
             "tracing_ring_overhead_pct": tracing_ring_overhead_pct,
         }),
-        "speedup": json!({
-            "qarma_encrypt_vs_reference": qarma_speedup_vs_reference,
-            "qarma_encrypt_vs_seed": qarma_speedup_vs_seed,
-            "unixbench_syscall_off_vs_seed": e2e_off_speedup,
-            "unixbench_syscall_full_vs_seed": e2e_full_speedup,
-            "unixbench_dhry2_off_vs_pre_superblock": dhry_speedup,
-        }),
     });
 
     if quick {
@@ -431,8 +274,8 @@ fn main() {
     }
 }
 
-/// Exits non-zero unless a fresh steps/s measurement holds half the
-/// checked-in value (the 2x machine-noise tolerance).
+/// Exits 1 unless a fresh steps/s measurement holds half the checked-in
+/// value (the 2x machine-noise tolerance).
 fn half_floor_guard(label: &str, fresh: f64, reference: f64) {
     println!(
         "{label} guard: fresh {:.1}M steps/s vs checked-in {:.1}M (floor {:.1}M)",
@@ -442,32 +285,51 @@ fn half_floor_guard(label: &str, fresh: f64, reference: f64) {
     );
     if fresh < reference / 2.0 {
         eprintln!("PERF REGRESSION: fresh {label} steps/sec fell below half the checked-in value");
-        std::process::exit(1);
+        exit(1);
     }
     println!("{label} guard: OK");
+}
+
+/// Reads the guarded rows of the checked-in `BENCH_hotpath.json`, in the
+/// order of [`HOTPATH_GUARDED_PATHS`]; exits 1 naming every row that does
+/// not resolve to a number, so a regenerated artifact cannot drop a gate.
+fn guarded_rows() -> [f64; HOTPATH_GUARDED_PATHS.len()] {
+    let path = repo_root().join("BENCH_hotpath.json");
+    let doc = std::fs::read_to_string(&path)
+        .map_err(|err| err.to_string())
+        .and_then(|text| Value::parse(&text))
+        .unwrap_or_else(|err| {
+            eprintln!("{}: {err}", path.display());
+            exit(1);
+        });
+    let rows = HOTPATH_GUARDED_PATHS.map(|row| doc.get(row).and_then(Value::as_f64));
+    let mut missing = false;
+    for (row, value) in HOTPATH_GUARDED_PATHS.iter().zip(&rows) {
+        if value.is_none() {
+            eprintln!("MISSING GUARD ROW: `{row}` in BENCH_hotpath.json");
+            missing = true;
+        }
+    }
+    if missing {
+        exit(1);
+    }
+    rows.map(Option::unwrap_or_default)
 }
 
 /// `--check`: fresh quick end-to-end measurement vs the checked-in JSON,
 /// 2x tolerance.
 fn run_check() {
-    let path = repo_root().join("BENCH_hotpath.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|err| panic!("read {}: {err}", path.display()));
-    let doc = Value::parse(&text).unwrap_or_else(|err| panic!("{}: {err}", path.display()));
-    let number = |path: &str| doc.get(path).and_then(Value::as_f64);
-    let required =
-        |path: &str| number(path).unwrap_or_else(|| panic!("no {path} in BENCH_hotpath.json"));
-    let reference = required("current.unixbench_syscall_off_steps_per_sec");
+    let [syscall_ref, dhry_ref, rekey_ref, recorded_off] = guarded_rows();
+    let off = ProtectionConfig::off();
 
-    let fresh = steps_per_sec(&UnixBench::Syscall, ProtectionConfig::off(), 3);
-    half_floor_guard("perf", fresh, reference);
+    let fresh = rate(&UnixBench::Syscall, off, 3);
+    half_floor_guard("perf", fresh, syscall_ref);
 
     // Superblock-tier floor: the committed dhry2 number must hold the 2x
     // speedup over the pre-tier interpreter (the tier's acceptance
     // criterion), and a fresh run must stay within the usual 2x
     // machine-noise tolerance of the committed value.
-    let dhry_ref = required("current.unixbench_dhry2_off_steps_per_sec");
-    let dhry_floor = 2.0 * baseline("pre_superblock_dhry2_off_steps_per_sec");
+    let dhry_floor = 2.0 * PRE_SUPERBLOCK_DHRY2_OFF_STEPS_PER_SEC;
     println!(
         "dhry2 guard: checked-in {:.1}M steps/s vs tier floor {:.1}M",
         dhry_ref / 1e6,
@@ -478,68 +340,52 @@ fn run_check() {
             "PERF REGRESSION: committed dhry2 throughput lost the superblock \
              tier's 2x-over-interpreter floor"
         );
-        std::process::exit(1);
+        exit(1);
     }
-    let fresh_dhry = steps_per_sec(&UnixBench::Dhry2, ProtectionConfig::off(), 3);
+    let fresh_dhry = rate(&UnixBench::Dhry2, off, 3);
     half_floor_guard("dhry2", fresh_dhry, dhry_ref);
 
     // Mitigation floor: with the epoch-rekey mitigation enabled, the
     // syscall path must hold the usual 2x machine-noise tolerance of the
     // committed mitigated number — i.e. the side-channel fix cannot quietly
     // lose the hot-path work.
-    if let Some(rekey_ref) = number("mitigation.unixbench_syscall_full_rekey_steps_per_sec") {
-        let fresh_rekey = steps_per_sec_rekey(&UnixBench::Syscall, 3);
-        half_floor_guard("rekey", fresh_rekey, rekey_ref);
-    } else {
-        println!(
-            "rekey guard: no mitigation rows in BENCH_hotpath.json (regenerate with `hotpath`)"
-        );
-    }
+    half_floor_guard("rekey", rekey_rate(3), rekey_ref);
 
     // Tracing-off must stay free. Two layers: the committed JSON's recorded
     // overhead row (stable, regenerated by every full bench run) must be
     // under 2%, and a fresh in-process A/B of the identical untraced
     // datapath must agree within the same band.
-    if let Some(recorded) = number("tracing.tracing_off_overhead_pct") {
-        println!("tracing guard: recorded off-overhead {recorded:+.2}%");
-        if recorded >= 2.0 {
-            eprintln!("TRACING REGRESSION: recorded tracing-off overhead >= 2%");
-            std::process::exit(1);
-        }
-        // Fresh A/B of the identical untraced datapath: interleaved rounds
-        // (control and off variant back-to-back) so host-load drift cancels,
-        // and up to three attempts — a true zero-cost path clears the 2%
-        // band on some attempt, while a real regression fails all three.
-        let mut fresh_overhead = f64::INFINITY;
-        for _ in 0..3 {
-            let (mut control, mut off) = (0.0f64, 0.0f64);
-            for _ in 0..8 {
-                control = control.max(steps_per_sec(
-                    &UnixBench::Syscall,
-                    ProtectionConfig::off(),
-                    1,
-                ));
-                off = off.max(steps_per_sec_tracer(
-                    &UnixBench::Syscall,
-                    ProtectionConfig::off(),
-                    1,
-                    &|| None,
-                ));
-            }
-            fresh_overhead = fresh_overhead.min((1.0 - off / control.max(off)) * 100.0);
-            if fresh_overhead < 2.0 {
-                break;
-            }
-        }
-        println!("tracing guard: fresh off-overhead {fresh_overhead:+.2}%");
-        if fresh_overhead >= 2.0 {
-            eprintln!("TRACING REGRESSION: fresh tracing-off overhead >= 2%");
-            std::process::exit(1);
-        }
-        println!("tracing guard: OK");
-    } else {
-        println!(
-            "tracing guard: no tracing rows in BENCH_hotpath.json (regenerate with `hotpath`)"
-        );
+    println!("tracing guard: recorded off-overhead {recorded_off:+.2}%");
+    if recorded_off >= 2.0 {
+        eprintln!("TRACING REGRESSION: recorded tracing-off overhead >= 2%");
+        exit(1);
     }
+    // Fresh A/B of the identical untraced datapath: interleaved rounds
+    // (control and off variant back-to-back) so host-load drift cancels,
+    // and up to three attempts — a true zero-cost path clears the 2% band
+    // on some attempt, while a real regression fails all three.
+    let mut fresh_overhead = f64::INFINITY;
+    for _ in 0..3 {
+        let (mut control, mut off_rate) = (0.0f64, 0.0f64);
+        for _ in 0..8 {
+            control = control.max(rate(&UnixBench::Syscall, off, 1));
+            off_rate = off_rate.max(steps_per_sec(
+                &UnixBench::Syscall,
+                off,
+                machine(),
+                1,
+                &|| None,
+            ));
+        }
+        fresh_overhead = fresh_overhead.min((1.0 - off_rate / control.max(off_rate)) * 100.0);
+        if fresh_overhead < 2.0 {
+            break;
+        }
+    }
+    println!("tracing guard: fresh off-overhead {fresh_overhead:+.2}%");
+    if fresh_overhead >= 2.0 {
+        eprintln!("TRACING REGRESSION: fresh tracing-off overhead >= 2%");
+        exit(1);
+    }
+    println!("tracing guard: OK");
 }

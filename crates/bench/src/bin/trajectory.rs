@@ -100,7 +100,6 @@ const METRICS: &[Metric] = &[
     gated(LEAKAGE, "total_on_collisions", Lower),
     info(LEAKAGE, "total_off_collisions", Higher),
     // Hot-path wall clock: context only, host-dependent.
-    info(HOTPATH, "current.qarma_optimized_encrypt_ns", Lower),
     info(
         HOTPATH,
         "current.unixbench_syscall_full_steps_per_sec",

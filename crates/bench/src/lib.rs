@@ -33,6 +33,18 @@ pub fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// The `BENCH_hotpath.json` rows that `hotpath --check` guards: the syscall
+/// half-floor, the dhry2 superblock-tier floors, the epoch-rekey half-floor
+/// and the recorded tracing-off overhead. The check exits 1 naming any of
+/// them that does not resolve, so regenerating the artifact without a row
+/// cannot silently drop its gate.
+pub const HOTPATH_GUARDED_PATHS: [&str; 4] = [
+    "current.unixbench_syscall_off_steps_per_sec",
+    "current.unixbench_dhry2_off_steps_per_sec",
+    "mitigation.unixbench_syscall_full_rekey_steps_per_sec",
+    "tracing.tracing_off_overhead_pct",
+];
+
 /// Converts Figure 5 style overhead rows into the JSON shape shared by the
 /// `fig5*` binaries: per-workload base cycles and per-config overhead
 /// fractions, plus the geometric-mean row.
