@@ -25,49 +25,26 @@
 
 use std::process::ExitCode;
 
-use regvault_bench::write_figure_json;
+use regvault_bench::{write_figure_json, FleetBench};
 use regvault_cli::flags::{self, Flag};
-use regvault_cli::fleet::{gate, render_human, to_json};
-use regvault_cli::json;
-use regvault_server::fleet::{run_fleet, FleetConfig};
+use regvault_cli::fleet::{gate, render_human};
 
 fn main() -> ExitCode {
     let mut quick = false;
     flags::parse_env_or_exit("fleet", &mut [Flag::switch("--quick", &mut quick)], "");
-    let (instances, requests) = if quick { (16, 12) } else { (64, 48) };
-    let seed = 0xF1EE_7C0DE;
-    let chaos = 8; // mean requests between kills
+    let bench = FleetBench::run(quick);
+    let [(_, calm), (_, micro), (_, cold)] = &bench.runs;
+    let c = &bench.config;
 
     println!(
-        "snapshot-forked fleet: {instances} instances x {requests} requests, \
-         chaos interval {chaos}, seed {seed:#x}\n"
+        "snapshot-forked fleet: {} instances x {} requests, \
+         chaos interval {}, seed {:#x}\n",
+        c.instances, c.requests_per_instance, c.chaos_kill_interval, c.seed
     );
-
-    let [calm, micro, cold] = [
-        ("calm", 0, true),
-        ("chaos-micro", chaos, true),
-        ("chaos-cold", chaos, false),
-    ]
-    .map(|(label, chaos_kill_interval, micro_restore)| {
-        let report = run_fleet(&FleetConfig {
-            instances,
-            requests_per_instance: requests,
-            seed,
-            chaos_kill_interval,
-            micro_restore,
-            ..FleetConfig::default()
-        });
-        print!("[{label}] {}", render_human(&report));
-        report
-    });
-
     let mut ok = true;
-    for (label, r) in [
-        ("calm", &calm),
-        ("chaos-micro", &micro),
-        ("chaos-cold", &cold),
-    ] {
-        if let Err(err) = gate(&r.scenario) {
+    for (label, report) in &bench.runs {
+        print!("[{label}] {}", render_human(report));
+        if let Err(err) = gate(&report.scenario) {
             eprintln!("FAIL: {label}: {err}");
             ok = false;
         }
@@ -121,18 +98,8 @@ fn main() -> ExitCode {
     if quick {
         println!("\n--quick: skipping BENCH_fleet.json rewrite");
     } else {
-        let doc = json!({
-            "bench": "fleet",
-            "instances": instances,
-            "requests_per_instance": requests,
-            "seed": seed,
-            "chaos_kill_interval": chaos,
-            "calm": to_json(&calm),
-            "chaos_micro_restore": to_json(&micro),
-            "chaos_cold_boot": to_json(&cold),
-        });
         println!();
-        write_figure_json("fleet", &doc);
+        write_figure_json("fleet", &bench.to_json());
     }
 
     if ok {

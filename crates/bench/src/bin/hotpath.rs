@@ -17,63 +17,20 @@
 //!   differences stay inside the tolerance, a broken hot path does not).
 
 use std::process::exit;
-use std::time::Instant;
 
-use regvault_bench::{repo_root, HOTPATH_GUARDED_PATHS};
+use regvault_bench::{
+    hotpath_machine as machine, repo_root, run_guest, superblock_section, HOTPATH_GUARDED_PATHS,
+};
 use regvault_cli::flags::{self, Flag};
 use regvault_cli::json;
 use regvault_cli::json::Value;
-use regvault_kernel::{Kernel, KernelConfig, ProtectionConfig};
+use regvault_kernel::ProtectionConfig;
 use regvault_sim::{MachineConfig, NullTracer, RingTracer, Tracer};
-use regvault_workloads::{
-    lmbench::Lmbench, unixbench::UnixBench, Workload, STEP_BUDGET, TIMER_INTERVAL,
-};
+use regvault_workloads::{lmbench::Lmbench, unixbench::UnixBench, Workload};
 
 /// dhry2 on the single-step interpreter, measured immediately before the
 /// superblock tier landed; the tier's acceptance floor is 2x this.
 const PRE_SUPERBLOCK_DHRY2_OFF_STEPS_PER_SEC: f64 = 73.679e6;
-
-/// The machine every row runs on: the paper's 8-entry CLB.
-fn machine() -> MachineConfig {
-    MachineConfig {
-        clb_entries: 8,
-        ..MachineConfig::default()
-    }
-}
-
-/// One guest run: boots a kernel, loads `workload`, zeroes the counters
-/// when `reset_stats` (the throughput rows count only the guest's
-/// instructions), installs `tracer` and runs to completion. Returns the
-/// kernel and the boot-plus-run wall time in seconds.
-fn run_guest(
-    workload: &dyn Workload,
-    protection: ProtectionConfig,
-    machine: MachineConfig,
-    tracer: Option<Box<dyn Tracer>>,
-    reset_stats: bool,
-) -> (Kernel, f64) {
-    let start = Instant::now();
-    let mut kernel = Kernel::boot(KernelConfig {
-        protection,
-        machine,
-        timer_interval: Some(TIMER_INTERVAL),
-    })
-    .expect("kernel boots");
-    let (image, entry) = workload.program();
-    if reset_stats {
-        kernel.machine_mut().reset_stats();
-    }
-    if let Some(tracer) = tracer {
-        kernel.machine_mut().install_tracer(tracer);
-    }
-    let result = kernel
-        .run_user(&image, entry, STEP_BUDGET)
-        .expect("workload runs");
-    let secs = start.elapsed().as_secs_f64();
-    let expected = workload.expected().unwrap_or(result);
-    assert_eq!(result, expected, "{} result", workload.name());
-    (kernel, secs)
-}
 
 /// Wall-clock steps/sec: best of `runs` timed runs (best-of smooths
 /// scheduler noise without averaging in cold-cache runs). `tracer` builds
@@ -166,13 +123,14 @@ fn main() {
     }
     let rekey_overhead_pct = (1.0 - full_rekey / full_ctl) * 100.0;
     // One instrumented dhry2 run: hit rate and tier coverage are properties
-    // of the trace shape, not of wall clock, so a single run suffices. Its
-    // counters run from boot (no reset): the committed `superblock.*` rows
-    // are defined over the whole run, and a reset also rearms the timer.
-    let (sb_kernel, _) = run_guest(&UnixBench::Dhry2, off, machine(), None, false);
-    let sb = sb_kernel.machine().superblock_stats();
-    // Fraction of all retired instructions that went through a superblock.
-    let sb_coverage = sb.insns as f64 / sb_kernel.machine().stats().instret.max(1) as f64;
+    // of the trace shape, not of wall clock, so a single run suffices.
+    let superblock = superblock_section();
+    let sb = |row: &str| {
+        superblock
+            .get(row)
+            .and_then(Value::as_f64)
+            .unwrap_or_default()
+    };
 
     // --- Tracing overhead (DESIGN.md §11) -------------------------------
     // Same harness, three sinks: no tracer (the zero-cost-off claim), a
@@ -214,11 +172,11 @@ fn main() {
     );
     println!(
         "superblock tier on dhry2: {} entries, {} insns ({:.1}% coverage), {} side exits, {} built",
-        sb.hits,
-        sb.insns,
-        sb_coverage * 100.0,
-        sb.side_exits,
-        sb.built
+        sb("superblock_hits"),
+        sb("superblock_insns"),
+        sb("superblock_coverage") * 100.0,
+        sb("superblock_side_exits"),
+        sb("superblock_built")
     );
     println!(
         "tracing: off {tracing_off_overhead_pct:+.2}%, null sink {tracing_null_overhead_pct:+.2}%, ring {tracing_ring_overhead_pct:+.2}% overhead vs untraced"
@@ -247,14 +205,7 @@ fn main() {
             "unixbench_syscall_full_rekey_steps_per_sec": full_rekey,
             "epoch_rekey_overhead_pct": rekey_overhead_pct,
         }),
-        "superblock": json!({
-            "superblock_hits": sb.hits as f64,
-            "superblock_insns": sb.insns as f64,
-            "superblock_side_exits": sb.side_exits as f64,
-            "superblock_built": sb.built as f64,
-            "superblock_invalidations": sb.invalidations as f64,
-            "superblock_coverage": sb_coverage,
-        }),
+        "superblock": superblock,
         "tracing": json!({
             "tracing_off_steps_per_sec": trace_off,
             "tracing_null_steps_per_sec": trace_null,

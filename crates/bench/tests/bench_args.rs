@@ -17,6 +17,7 @@ fn bench_bins_reject_unknown_arguments() {
         (env!("CARGO_BIN_EXE_fig5a_unixbench"), "fig5a_unixbench"),
         (env!("CARGO_BIN_EXE_fig5b_lmbench"), "fig5b_lmbench"),
         (env!("CARGO_BIN_EXE_fig5c_spec"), "fig5c_spec"),
+        (env!("CARGO_BIN_EXE_golden"), "golden"),
     ] {
         let artifact = regvault_bench::repo_root().join(format!("BENCH_{stem}.json"));
         let before = std::fs::read(&artifact).ok();
@@ -28,20 +29,4 @@ fn bench_bins_reject_unknown_arguments() {
         }
         assert_eq!(std::fs::read(&artifact).ok(), before, "{stem} wrote");
     }
-}
-
-#[test]
-fn trajectory_usage_errors_exit_2_not_1() {
-    let exe = env!("CARGO_BIN_EXE_trajectory");
-    for args in [&["--bogus"][..], &[], &["--baseline"], &["--fresh", "."]] {
-        let out = run(exe, args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
-        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
-        assert!(String::from_utf8_lossy(&out.stderr).contains("usage: trajectory"));
-    }
-    // A well-formed run over the committed artifacts still passes.
-    let root = regvault_bench::repo_root();
-    let root = root.to_str().expect("utf-8 path");
-    let out = run(exe, &["--baseline", root, "--fresh", root]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
 }

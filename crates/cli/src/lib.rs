@@ -30,7 +30,6 @@ use regvault_kernel::ProtectionConfig;
 use regvault_sim::{
     run_lockstep, run_tiered_lockstep, FaultKind, FaultPlan, Machine, MachineConfig, ReproBundle,
 };
-use regvault_verifier::baseline::Baseline;
 use regvault_verifier::callgraph::CallGraphStats;
 use regvault_verifier::{
     verify as verifier_verify, ProtectionManifest, Report, Severity, VerifyOptions, ViolationKind,
@@ -458,11 +457,6 @@ pub struct VerifyArgs {
     /// summaries, and the tweak-diversity / raw-key-flow / spill-gadget
     /// lints.
     pub interprocedural: bool,
-    /// Baseline file to ratchet against: exit nonzero on any finding whose
-    /// `(image, kind, fingerprint)` is not in it.
-    pub baseline: Option<String>,
-    /// Write the observed findings to this path as a fresh baseline.
-    pub update_baseline: Option<String>,
     /// Key-storage data symbols (single-file mode): loads from them are
     /// tracked by the raw-key-flow lint.
     pub key_symbols: Vec<String>,
@@ -475,8 +469,6 @@ fn verify_flags(args: &mut VerifyArgs) -> Vec<Flag<'_>> {
         Flag::switch("--json", &mut args.json),
         Flag::switch("--sarif", &mut args.sarif),
         Flag::switch("--interprocedural", &mut args.interprocedural),
-        Flag::text("--baseline", "FILE", &mut args.baseline),
-        Flag::text("--update-baseline", "FILE", &mut args.update_baseline),
         Flag::value("--key-symbol", "NAME", |name| {
             args.key_symbols.push(name.to_owned());
             Ok(())
@@ -569,49 +561,6 @@ fn analysis_summary(reports: &[&Report], elapsed: std::time::Duration) -> String
     out
 }
 
-/// Applies the baseline ratchet over labeled reports: `--update-baseline`
-/// rewrites the file from the observed findings; `--baseline` checks against
-/// it. Returns `(summary text, ratchet failed)`.
-fn apply_ratchet(
-    args: &VerifyArgs,
-    runs: &[(String, &Report)],
-) -> Result<(String, bool), CliError> {
-    if let Some(path) = &args.update_baseline {
-        let baseline = Baseline::from_reports(runs);
-        std::fs::write(path, baseline.render())
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        return Ok((
-            format!(
-                "baseline updated: {} entr(ies) written to {path}\n",
-                baseline.entries.len()
-            ),
-            false,
-        ));
-    }
-    let Some(path) = &args.baseline else {
-        return Ok((String::new(), false));
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let baseline = Baseline::parse(&text)?;
-    let (new, resolved) = baseline.check(runs);
-    let mut out = String::new();
-    for finding in &new {
-        let _ = writeln!(
-            out,
-            "NEW FINDING [{}] {} in `{}` ({}): {}",
-            finding.kind, finding.image, finding.function, finding.fingerprint, finding.detail
-        );
-    }
-    let _ = writeln!(
-        out,
-        "ratchet: {} baseline entr(ies), {} new finding(s), {} resolved",
-        baseline.entries.len(),
-        new.len(),
-        resolved
-    );
-    Ok((out, !new.is_empty()))
-}
-
 /// A verifier report as JSON: `{clean, functions, instructions, crypto_ops,
 /// errors, warnings, violations: [{kind, severity, function, offset, insn,
 /// detail, fingerprint}], skipped_data: [..], callgraph?: {..}}`.
@@ -664,9 +613,8 @@ pub fn report_json(report: &Report) -> Value {
 /// One or more labeled reports as a SARIF 2.1.0-style document.
 ///
 /// `runs` pairs an artifact label (e.g. `dhry2@full` or a file name) with
-/// its report; all results land in a single SARIF run so the document is one
-/// ratchetable unit. Fingerprints are emitted as the `regvault/v1` partial
-/// fingerprint, which is what the baseline matches on.
+/// its report; all results land in a single SARIF run. Fingerprints are
+/// emitted as the `regvault/v1` partial fingerprint.
 #[must_use]
 pub fn sarif_json(runs: &[(String, &Report)]) -> Value {
     let rules: Vec<Value> = ViolationKind::ALL
@@ -714,9 +662,8 @@ pub fn sarif_json(runs: &[(String, &Report)]) -> Value {
 /// invariants. Regions that fail to decode are skipped as data (hand-written
 /// images may interleave `.dword` pools with code).
 ///
-/// Returns `Ok(report)` when the image has no error-severity findings and
-/// `Err(report)` otherwise (or when the baseline ratchet fails), so callers
-/// can exit non-zero. Interprocedural lint warnings render but do not fail.
+/// Returns `Ok(report)` when the image has no finding, warnings included,
+/// and `Err(report)` otherwise, so callers can exit non-zero.
 ///
 /// # Errors
 ///
@@ -741,10 +688,8 @@ pub fn cmd_verify_source(source: &str, args: &VerifyArgs) -> Result<String, CliE
         &options,
     );
     let elapsed = started.elapsed();
-    let runs = vec![("<input>".to_owned(), &report)];
-    let (ratchet_text, ratchet_failed) = apply_ratchet(args, &runs)?;
     let rendered = if args.sarif {
-        sarif_json(&runs).render()
+        sarif_json(&[("<input>".to_owned(), &report)]).render()
     } else if args.json {
         report_json(&report).render()
     } else {
@@ -752,10 +697,9 @@ pub fn cmd_verify_source(source: &str, args: &VerifyArgs) -> Result<String, CliE
         if args.interprocedural {
             text.push_str(&analysis_summary(&[&report], elapsed));
         }
-        text.push_str(&ratchet_text);
         text
     };
-    if report.has_errors() || ratchet_failed {
+    if !report.is_clean() {
         Err(rendered)
     } else {
         Ok(rendered)
@@ -767,14 +711,12 @@ pub fn cmd_verify_source(source: &str, args: &VerifyArgs) -> Result<String, CliE
 /// manifest), plus the raw UnixBench/LMbench guest programs (dataflow
 /// invariants only).
 ///
-/// Returns `Err` with the summary when any image has an error-severity
-/// finding, or when the `--baseline` ratchet sees a finding not in the
-/// committed baseline. Interprocedural lint warnings render (and feed the
-/// ratchet) but do not fail the run by themselves.
+/// Returns `Err` with the summary when any image has a finding, warnings
+/// included.
 ///
 /// # Errors
 ///
-/// Propagates compile errors and reports verification/ratchet failures.
+/// Propagates compile errors and reports verification failures.
 pub fn cmd_verify_workloads(args: &VerifyArgs) -> Result<String, CliError> {
     let configs: [(&str, CompileConfig); 5] = [
         ("base", CompileConfig::none()),
@@ -831,13 +773,8 @@ pub fn cmd_verify_workloads(args: &VerifyArgs) -> Result<String, CliError> {
         .iter()
         .map(|(name, label, report)| (format!("{name}@{label}"), report))
         .collect();
-    let (ratchet_text, ratchet_failed) = apply_ratchet(args, &runs)?;
 
     let total_violations: usize = rows.iter().map(|(_, _, r)| r.violations.len()).sum();
-    let errors: usize = rows
-        .iter()
-        .map(|(_, _, r)| r.count_by_severity(Severity::Error))
-        .sum();
     let mut out = String::new();
     if args.sarif {
         out = sarif_json(&runs).render();
@@ -855,7 +792,7 @@ pub fn cmd_verify_workloads(args: &VerifyArgs) -> Result<String, CliError> {
         out = json!({ "clean": total_violations == 0, "images": images }).render();
     } else {
         for (name, label, report) in &rows {
-            let verdict = if report.has_errors() { "FAIL" } else { "OK" };
+            let verdict = if report.is_clean() { "OK" } else { "FAIL" };
             let _ = writeln!(
                 out,
                 "  {name:<12} {label:<12} {verdict:<5} {} insns, {} crypto ops, {} violation(s)",
@@ -871,14 +808,13 @@ pub fn cmd_verify_workloads(args: &VerifyArgs) -> Result<String, CliError> {
             let reports: Vec<&Report> = rows.iter().map(|(_, _, r)| r).collect();
             out.push_str(&analysis_summary(&reports, elapsed));
         }
-        out.push_str(&ratchet_text);
         let _ = writeln!(
             out,
             "verified {} images: {total_violations} violation(s)",
             rows.len()
         );
     }
-    if errors == 0 && !ratchet_failed {
+    if total_violations == 0 {
         Ok(out)
     } else {
         Err(out)
@@ -906,8 +842,8 @@ fn subcommands(mut visit: impl FnMut(&str, &mut [Flag<'_>], &str)) {
         &mut verify_flags(&mut VerifyArgs::default()),
         "check RegVault invariants over a program, or with --workloads over \
          every benchmark image; --interprocedural adds call-graph summaries + \
-         whole-program lints; --key-symbol names key storage (file mode); with \
-         --baseline, fail on any finding not in the committed baseline",
+         whole-program lints; --key-symbol names key storage (file mode); any \
+         finding, warnings included, exits nonzero",
     );
     visit(
         "record  <file.s> <out.bundle>",
@@ -1233,12 +1169,9 @@ mod tests {
             "--workloads",
             "--interprocedural",
             "--sarif",
-            "--baseline",
-            "b.txt",
         ]))
         .unwrap();
         assert!(parsed.workloads && parsed.interprocedural && parsed.sarif);
-        assert_eq!(parsed.baseline.as_deref(), Some("b.txt"));
         let parsed =
             parse_verify_args(&flags::args(&["prog.s", "--key-symbol", "keyblob"])).unwrap();
         assert_eq!(parsed.file.as_deref(), Some("prog.s"));
@@ -1251,8 +1184,8 @@ mod tests {
 
     #[test]
     fn verify_interprocedural_reports_graph_and_lint_table() {
-        // Warning-only program: a (key, tweak) pair reused across two
-        // encryptions of different values, never stored.
+        // Warning-only program (a (key, tweak) pair reused across two
+        // encryptions, never stored): clean-or-fail makes it an error exit.
         let args = VerifyArgs {
             interprocedural: true,
             ..VerifyArgs::default()
@@ -1268,7 +1201,7 @@ mod tests {
               ret",
             &args,
         )
-        .unwrap();
+        .unwrap_err();
         assert!(out.contains("call graph:"), "{out}");
         assert!(
             out.contains("tweak-diversity            warning  1"),

@@ -146,15 +146,8 @@ const TWEAK_REUSE_PROGRAM: &str = "main:
 
 #[test]
 fn verify_workloads_corpus_gate_is_zero() {
-    // The committed-baseline invocation CI runs (from the repo root).
-    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../verifier-baseline.txt");
-    let out = cli(&[
-        "verify",
-        "--workloads",
-        "--interprocedural",
-        "--baseline",
-        baseline,
-    ]);
+    // The clean-or-fail invocation CI runs.
+    let out = cli(&["verify", "--workloads", "--interprocedural"]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
@@ -162,7 +155,6 @@ fn verify_workloads_corpus_gate_is_zero() {
         "{stdout}"
     );
     assert!(stdout.contains("call graph:"), "{stdout}");
-    assert!(stdout.contains("ratchet:"), "{stdout}");
 }
 
 #[test]
@@ -185,64 +177,19 @@ fn verify_sarif_emits_a_document_and_keeps_the_exit_contract() {
 }
 
 #[test]
-fn verify_ratchet_fails_on_new_findings_until_baselined() {
-    let program = scratch("ratchet.s", TWEAK_REUSE_PROGRAM);
+fn verify_fails_on_warnings_too() {
+    let program = scratch("tweak_reuse.s", TWEAK_REUSE_PROGRAM);
     let file = program.to_str().unwrap();
 
-    // Warnings alone do not fail the gate...
+    // Per-function mode sees nothing...
+    let out = cli(&["verify", file]);
+    assert!(out.status.success(), "{out:?}");
+
+    // ...and the whole-program warning alone fails the run.
     let out = cli(&["verify", file, "--interprocedural"]);
-    assert!(out.status.success(), "{out:?}");
-
-    // ...but against an empty baseline the ratchet flags them as new.
-    let empty = scratch("ratchet_empty.txt", "# regvault verifier baseline v1\n");
-    let out = cli(&[
-        "verify",
-        file,
-        "--interprocedural",
-        "--baseline",
-        empty.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success(), "new findings must fail: {out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("NEW FINDING"));
-
-    // Recording the debt and re-checking against it passes again.
-    let accepted = std::env::temp_dir().join(format!(
-        "regvault_cli_exit_codes_{}_ratchet_accepted.txt",
-        std::process::id()
-    ));
-    let out = cli(&[
-        "verify",
-        file,
-        "--interprocedural",
-        "--update-baseline",
-        accepted.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let out = cli(&[
-        "verify",
-        file,
-        "--interprocedural",
-        "--baseline",
-        accepted.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "baselined findings must pass: {out:?}"
-    );
-
-    // A truncated baseline must not silently accept everything.
-    let malformed = scratch("ratchet_bad.txt", "img tweak-diversity main\n");
-    let out = cli(&[
-        "verify",
-        file,
-        "--interprocedural",
-        "--baseline",
-        malformed.to_str().unwrap(),
-    ]);
-    assert!(
-        !out.status.success(),
-        "malformed baseline must fail: {out:?}"
-    );
+    assert!(!out.status.success(), "a warning must fail: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("tweak-diversity"), "{stderr}");
 }
 
 #[test]

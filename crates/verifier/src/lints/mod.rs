@@ -18,7 +18,7 @@
 //! Lints only run in interprocedural mode
 //! ([`VerifyOptions::interprocedural`](crate::VerifyOptions)); their
 //! findings carry [`Severity`](crate::diag::Severity) levels and stable
-//! fingerprints so they can be baselined and ratcheted in CI.
+//! fingerprints, and `regvault-cli verify` fails on any of them.
 
 pub mod raw_key_flow;
 pub mod spill_gadget;

@@ -10,7 +10,7 @@
 //! `a0` — into a finding. Legacy key-install paths necessarily trip the
 //! load rule today, which is the point: the findings inventory exactly the
 //! sites a future `khcreate`/`khuse` handle scheme (ROADMAP item 3) must
-//! replace, and the baseline ratchet keeps the inventory from growing.
+//! replace, and `verify` failing on any finding stops new ones landing.
 
 use regvault_isa::abi::ARG_REGS;
 

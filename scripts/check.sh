@@ -4,12 +4,15 @@
 # (and humans) run before merging.
 #
 # Tiers:
-#   check.sh --quick   build + tests + clippy + serve/fleet smoke + a
-#                      trajectory pass over the committed BENCH_*.json
+#   check.sh --quick   build + tests + clippy + serve/fleet smoke + golden,
+#                      which rebuilds every deterministic section of the
+#                      committed BENCH_*.json and compares it exactly
 #                      (the inner-loop gate)
-#   check.sh --full    everything: quick tier plus verifier corpus sweep,
-#                      fault-campaign determinism/quarantine gates,
-#                      record->replay smoke, and the perf-regression guard
+#   check.sh --full    everything: quick tier plus the clean-or-fail
+#                      verifier corpus sweep, fault-campaign
+#                      determinism/quarantine gates, record->replay smoke,
+#                      the perf-regression guard, and the serve, fleet and
+#                      leakage bins' own gates
 #   check.sh           same as --full
 #
 # Clippy is best-effort locally (minimal toolchains may lack clippy-driver)
@@ -62,8 +65,8 @@ target/release/regvault-cli serve --smoke > /dev/null
 echo "==> fleet smoke (snapshot-forked fleet under a chaos kill schedule)"
 target/release/regvault-cli fleet --smoke > /dev/null
 
-echo "==> bench trajectory paths (every gated path resolves in the committed BENCH_*.json)"
-target/release/trajectory --baseline . --fresh . > /dev/null
+echo "==> golden (every deterministic BENCH_*.json leaf rebuilt and compared exactly)"
+target/release/golden
 
 if [ "$tier" = "quick" ]; then
     echo "OK (quick tier)"
@@ -73,9 +76,8 @@ fi
 echo "==> protection verifier over the full benchmark corpus"
 target/release/regvault-cli verify --workloads
 
-echo "==> verifier ratchet (whole-program lints vs committed baseline)"
-target/release/regvault-cli verify --workloads --interprocedural \
-    --baseline verifier-baseline.txt
+echo "==> whole-program verifier lints (clean-or-fail: any finding, warnings included)"
+target/release/regvault-cli verify --workloads --interprocedural
 
 echo "==> fault campaign determinism (two runs must be identical)"
 campaign=(target/release/fault_campaign --seed 42 --trials 50)
@@ -147,10 +149,6 @@ target/release/hotpath --quick
 echo "==> perf-regression guard (fresh steps/sec vs BENCH_hotpath.json, 2x tolerance)"
 target/release/hotpath --check
 
-echo "==> snapshot committed bench artifacts for the trajectory diff"
-rm -rf /tmp/regvault_bench_baseline && mkdir -p /tmp/regvault_bench_baseline
-cp BENCH_*.json /tmp/regvault_bench_baseline/
-
 echo "==> serve under faults (sustained multi-tenant run, rewrites BENCH_serve.json)"
 target/release/serve
 
@@ -162,8 +160,5 @@ target/release/regvault-cli leakage --smoke > /dev/null
 
 echo "==> leakage campaign (full corpus off vs on, rewrites BENCH_leakage.json)"
 target/release/leakage
-
-echo "==> bench trajectory (fresh BENCH_*.json vs committed, 10% ratchet on gated metrics)"
-target/release/trajectory --baseline /tmp/regvault_bench_baseline
 
 echo "OK (full tier)"
